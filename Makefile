@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race ci fuzz bench benchgate benchall vet smoke chaos
+.PHONY: all test race ci fuzz bench benchgate benchall vet smoke chaos evalref
 
 all: test
 
@@ -25,6 +25,9 @@ bench:           ## remeasure the dispatch+sweep benchmarks and rewrite the BENC
 
 benchgate:       ## compare the dispatch+sweep benchmarks against the committed baseline
 	scripts/bench.sh
+
+evalref:         ## rerun the experiment suite and require it to match eval_reference.txt byte for byte
+	$(GO) run ./cmd/sdtbench | cmp - eval_reference.txt
 
 benchall:
 	$(GO) test -run='^$$' -bench=. ./...

@@ -97,13 +97,13 @@ func BenchmarkE12PredictorAblation(b *testing.B) { runExperiment(b, "E12") }
 
 func BenchmarkE13CachePressure(b *testing.B) { runExperiment(b, "E13") }
 
-func BenchmarkE14Superblocks(b *testing.B) { runExperiment(b, "E14") }
-
 func BenchmarkE15IBTCOrganization(b *testing.B) { runExperiment(b, "E15") }
 
 func BenchmarkE16Traces(b *testing.B) { runExperiment(b, "E16") }
 
 func BenchmarkE17PerKindAttribution(b *testing.B) { runExperiment(b, "E17") }
+
+func BenchmarkE18Adaptive(b *testing.B) { runExperiment(b, "E18") }
 
 // Simulator throughput benchmarks: how fast the laboratory itself runs,
 // in retired guest instructions per second.

@@ -29,7 +29,6 @@ func main() {
 	variants := []variant{
 		{"dflt", func(o *core.Options) {}},
 		{"tiny", func(o *core.Options) { o.CacheBytes = 2048 }}, // force flush churn
-		{"supb", func(o *core.Options) { o.Superblocks = true }},
 	}
 
 	for _, wl := range workload.SPECNames() {

@@ -182,7 +182,7 @@ func (r *Runner) Run(wl, arch, spec string) (*Result, error) {
 }
 
 // RunWithOptions measures one workload under spec with caller-mutated VM
-// options (fragment cache size, superblocks, linking, block length).
+// options (fragment cache size, linking, block length).
 // Results are not memoized.
 func (r *Runner) RunWithOptions(wl, arch, spec string, mutate func(*core.Options)) (*Result, error) {
 	native, err := r.Native(wl, arch)

@@ -18,7 +18,6 @@ import (
 func init() {
 	Experiments = append(Experiments,
 		Experiment{"E13", "Fragment cache pressure", "flush-policy discussion (extension)", runE13},
-		Experiment{"E14", "Superblock formation", "fragment-linking/layout discussion (extension)", runE14},
 		Experiment{"E15", "IBTC organization: associativity & hash", "IBTC configuration discussion (extension)", runE15},
 		Experiment{"E16", "Trace formation with IB guards", "Dynamo/Strata trace mode (extension)", runE16},
 		Experiment{"E17", "Per-kind cost attribution", "which IB kind buys what (extension)", runE17},
@@ -266,41 +265,6 @@ func runE13(r *Runner, w io.Writer) error {
 	fmt.Fprintln(w)
 	textplot.Series(w, "slowdown vs fragment cache capacity (ibtc:16384, x86)", "capacity", xs, series, "x")
 	fmt.Fprintln(w, "\n(each flush discards fragments, links and all mechanism state)")
-	return nil
-}
-
-// ---- E14: superblock formation ------------------------------------------------
-
-func runE14(r *Runner, w io.Writer) error {
-	headers := []string{"workload", "plain", "superblocks", "fragments plain", "fragments super"}
-	var rows [][]string
-	var plainVals, superVals []float64
-	for _, wl := range r.suite() {
-		plain, err := r.Run(wl, "x86", SpecIBTC)
-		if err != nil {
-			return err
-		}
-		super, err := r.RunWithOptions(wl, "x86", SpecIBTC, func(o *core.Options) {
-			o.Superblocks = true
-		})
-		if err != nil {
-			return err
-		}
-		plainVals = append(plainVals, plain.Slowdown())
-		superVals = append(superVals, super.Slowdown())
-		rows = append(rows, []string{
-			wl,
-			fmtF(plain.Slowdown()) + "x",
-			fmtF(super.Slowdown()) + "x",
-			fmt.Sprintf("%d", plain.Prof.Translations),
-			fmt.Sprintf("%d", super.Prof.Translations),
-		})
-	}
-	rows = append(rows, []string{"geomean",
-		fmtF(Geomean(plainVals)) + "x", fmtF(Geomean(superVals)) + "x", "-", "-"})
-	fmt.Fprintln(w, "superblock formation (follow forward direct jumps at translation), ibtc:16384, x86:")
-	textplot.Table(w, headers, rows)
-	fmt.Fprintln(w, "\n(elided jumps shorten fragment chains; IB handling is untouched, so the\n effect is bounded by each workload's direct-jump density)")
 	return nil
 }
 

@@ -57,11 +57,6 @@ type Options struct {
 	// execute as host returns. Sacrifices transparency (the guest can
 	// observe host addresses in ra).
 	FastReturns bool
-	// Superblocks lets translation continue through forward direct jumps,
-	// eliding the jump from the emitted code and building longer
-	// fragments (Strata-style partial superblock formation). Purely a
-	// code-layout optimization; indirect branches still end fragments.
-	Superblocks bool
 	// Traces enables NET-style trace formation: fragments that execute
 	// TraceThreshold times seed a recording of the next executed path,
 	// which is materialized as a contiguous trace. Indirect branches
@@ -160,6 +155,11 @@ type Fragment struct {
 	// machine.StaticBodyCost), precomputed at translation time and charged
 	// in one batch per execution.
 	staticCycles uint64
+
+	// [fetchFrom, fetchEnd) is the body's emitted code as line-aligned
+	// I-fetch addresses (see VM.runBody).
+	fetchFrom uint32
+	fetchEnd  uint32
 }
 
 // fragLink is a patchable direct-exit slot: the target fragment plus the

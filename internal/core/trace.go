@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sdt/internal/isa"
 	"sdt/internal/machine"
 )
@@ -40,6 +38,10 @@ type Trace struct {
 
 	staticCycles uint64 // whole-body batch charge (sum of part statics)
 	parts        []superPart
+	// head is the fragment the trace is installed at. A spin-bounded loop
+	// closure hands back to it; the first part's terminator may belong to
+	// a later fragment when the head's own exit was merged away.
+	head *Fragment
 }
 
 // superPart is one recorded fragment inside a superblock, with everything
@@ -245,6 +247,7 @@ func (vm *VM) materializeTrace(rec *traceRec) {
 	}
 
 	rec.head.Trace = &Trace{
+		head:         rec.head,
 		HostAddr:     host,
 		Bytes:        bytes,
 		staticCycles: static,
@@ -272,7 +275,6 @@ func (vm *VM) execTrace(tr *Trace) (*Fragment, error) {
 	env := vm.Env
 	m := env.Model
 	st := vm.State
-	lineBytes := uint32(m.ICache.LineBytes)
 	lastIdx := len(tr.parts) - 1
 run:
 	for spin := 0; ; spin++ {
@@ -281,54 +283,9 @@ run:
 		e0 := vm.epoch
 		for idx := range tr.parts {
 			p := &tr.parts[idx]
-
-			// I-fetch the part's precomputed span of cache lines. Within a
-			// superblock fetch is strictly sequential, so any access beyond
-			// the span (same-line bytes, a boundary line the previous part
-			// touched) would re-hit the most recently used line —
-			// LRU-neutral — making the span walk bit-identical to
-			// per-instruction fetching of the same bytes.
-			for a := p.fetchFrom; a < p.fetchEnd; a += lineBytes {
-				env.IFetch(a)
-			}
-
-			// Execute the body through the shared semantic core: the
-			// batched straight-line executor up to the terminator (with
-			// the limit check hoisted out of the loop), then the
-			// terminator itself. Near the end of the instruction budget
-			// the per-instruction loop takes over so the limit faults at
-			// the exact instruction.
-			insts := p.insts
-			pc := p.headPC
-			var out machine.Outcome
-			var err error
-			if st.Instret+uint64(len(insts)) <= vm.limit {
-				pc, err = machine.ExecStraight(st, env, insts[:len(insts)-1], pc)
-				if err != nil {
-					return nil, fmt.Errorf("core: in superblock part at %#x: %w", p.headPC, err)
-				}
-				term := insts[len(insts)-1]
-				if term.Op.IsMem() {
-					env.DTouch(st.Regs[term.Rs1] + uint32(term.Imm))
-				}
-				out, err = machine.Exec(st, term, pc)
-				if err != nil {
-					return nil, fmt.Errorf("core: in superblock part at %#x: %w", p.headPC, err)
-				}
-			} else {
-				for _, in := range insts {
-					if st.Instret >= vm.limit {
-						return nil, fmt.Errorf("%w (%d instructions)", ErrLimit, vm.limit)
-					}
-					if in.Op.IsMem() {
-						env.DTouch(st.Regs[in.Rs1] + uint32(in.Imm))
-					}
-					out, err = machine.Exec(st, in, pc)
-					if err != nil {
-						return nil, fmt.Errorf("core: in superblock part at %#x: %w", p.headPC, err)
-					}
-					pc = out.Target
-				}
+			out, err := vm.runBody(p.insts, p.headPC, p.fetchFrom, p.fetchEnd)
+			if err != nil {
+				return nil, err
 			}
 			vm.Prof.SuperOpsRetired += p.fused
 			last := idx == lastIdx
@@ -361,7 +318,7 @@ run:
 						if spin < traceSpins {
 							continue run
 						}
-						return tr.parts[0].frag, nil
+						return tr.head, nil
 					}
 					vm.Prof.TraceGuardMisses++
 				}
@@ -380,7 +337,7 @@ run:
 					if spin < traceSpins {
 						continue run
 					}
-					return tr.parts[0].frag, nil
+					return tr.head, nil
 				}
 				// Side exit: the flipped branch fires off the recorded
 				// path.
@@ -404,7 +361,7 @@ run:
 					if spin < traceSpins {
 						continue run
 					}
-					return tr.parts[0].frag, nil
+					return tr.head, nil
 				}
 				// Unreachable for these deterministic transfers while the
 				// layout matches the recording; resolve defensively.
@@ -448,7 +405,7 @@ run:
 					if spin < traceSpins {
 						continue run
 					}
-					return tr.parts[0].frag, nil
+					return tr.head, nil
 				}
 				if !vm.opts.FastReturns {
 					env.Charge(m.DirectJump)

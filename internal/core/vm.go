@@ -231,20 +231,11 @@ func (vm *VM) translate(guest uint32) (*Fragment, error) {
 	m := vm.Env.Model
 
 	// Decode the block: up to MaxBlockInsts instructions, through the
-	// first control transfer. With superblock formation, forward direct
-	// jumps are followed (and elided from the emitted code) instead of
-	// ending the block; forward-only following keeps decoding loop-free.
-	// A straight-line block is a subslice of the predecoded code section
-	// (no copy); only a followed jump forces the body into its own buffer.
-	const maxFollows = 8
-	startIdx := (guest - program.CodeBase) / isa.WordSize
-	var buf []isa.Inst // non-nil once a followed jump breaks contiguity
+	// first control transfer. The block is a subslice of the predecoded
+	// code section (no copy).
 	count := 0
-	pc := guest
-	termPC := guest
-	follows := 0
 	for count < vm.opts.MaxBlockInsts {
-		in, err := vm.fetchGuest(pc)
+		in, err := vm.fetchGuest(guest + uint32(count)*isa.WordSize)
 		if err != nil {
 			if count == 0 {
 				return nil, err
@@ -252,54 +243,42 @@ func (vm *VM) translate(guest uint32) (*Fragment, error) {
 			// The block ran off the end of the code section. Native
 			// execution retires the valid prefix before the overrun
 			// fetch faults, so translation must not fault early: end
-			// the fragment here and let its fall-through (or followed
-			// jump) re-enter the translator at the bad pc, which
-			// faults at the architecturally correct instruction count.
+			// the fragment here and let its fall-through re-enter the
+			// translator at the bad pc, which faults at the
+			// architecturally correct instruction count.
 			break
-		}
-		if buf != nil {
-			buf = append(buf, in)
 		}
 		count++
-		termPC = pc
 		if in.Op.IsControl() {
-			if vm.opts.Superblocks && in.Op == isa.JMP && follows < maxFollows {
-				if target := uint32(in.Imm) * isa.WordSize; target > pc {
-					if buf == nil {
-						buf = make([]isa.Inst, count, vm.opts.MaxBlockInsts)
-						copy(buf, vm.code[startIdx:startIdx+uint32(count)])
-					}
-					pc = target
-					follows++
-					continue
-				}
-			}
 			break
 		}
-		pc += isa.WordSize
 	}
-	insts := buf
-	if insts == nil {
-		end := startIdx + uint32(count)
-		insts = vm.code[startIdx:end:end]
-	}
+	startIdx := (guest - program.CodeBase) / isa.WordSize
+	end := startIdx + uint32(count)
+	insts := vm.code[startIdx:end:end]
 	term := insts[count-1]
-	bodyBytes := uint32(count * m.CodeBytesPerInst)
+	termPC := guest + uint32(count-1)*isa.WordSize
+	cb := uint32(m.CodeBytesPerInst)
+	bodyBytes := uint32(count) * cb
 	size := bodyBytes + uint32(m.StubBytes)
 
 	if vm.cacheUsed+size > vm.opts.CacheBytes {
 		vm.flush()
 	}
 
+	host := vm.AllocCode(size)
+	line := uint32(m.ICache.LineBytes)
 	f := vm.newFragment()
 	*f = Fragment{
 		GuestPC:      guest,
 		Insts:        insts,
-		HostAddr:     vm.AllocCode(size),
+		HostAddr:     host,
 		Bytes:        size,
 		Synth:        !term.Op.IsControl(),
 		epoch:        vm.epoch,
 		staticCycles: machine.StaticBodyCost(m, insts),
+		fetchFrom:    host &^ (line - 1),
+		fetchEnd:     (host+bodyBytes-cb)&^(line-1) + line,
 	}
 	if term.Op.IsIndirect() {
 		s := vm.newSite()
@@ -459,84 +438,62 @@ func (vm *VM) RunContext(ctx context.Context, limit uint64) error {
 	return nil
 }
 
-// execBody runs a fragment's instructions (including the terminator) with
-// instruction fetches charged at hostBase, returning the terminator's
-// outcome. Exit resolution is the caller's job, which lets trace execution
-// (trace.go) lay the same fragments out at trace-local addresses.
+// runBody executes one straight-line body — a plain fragment or one part
+// of a superblock — starting at guest pc, and returns the terminator's
+// outcome. Exit resolution is the caller's job. [fetchFrom, fetchEnd) is
+// the body's emitted code as line-aligned fetch addresses: fetch within a
+// body is strictly sequential, so re-accessing the current line is an
+// LRU-neutral hit, and one access per line yields the same distinct-line
+// sequence — every miss, every replacement decision — as per-instruction
+// fetching.
 //
-// The data-independent body cost is charged in one batch up front
-// (f.staticCycles); the per-instruction work is the fetch, the D-cache
-// touch for loads and stores, and the architectural Exec. Because
-// simulated cycles are a pure sum and the cache/predictor access sequence
-// is unchanged, completed runs total bit-identically to per-instruction
-// charging; only runs cut short by a fault or the instruction limit (whose
-// cycle totals nothing compares) can differ.
-func (vm *VM) execBody(f *Fragment, hostBase uint32) (machine.Outcome, error) {
+// The body's data-independent cost is the caller's batch charge; the work
+// here is the I-fetch walk, the batched machine.ExecStraight up to the
+// terminator (which charges the D-cache touch of each load and store), and
+// the terminator through machine.Exec. Near the end of the instruction
+// budget only the prefix that fits runs and the limit error is returned:
+// ExecStraight keeps Instret and PC exact, so the run stops in the same
+// architectural state as the native interpreter's. Simulated cycles are a
+// pure sum over an unchanged cache/predictor access sequence, so completed
+// runs total bit-identically to per-instruction charging; only runs cut
+// short by a fault or the limit (whose cycle totals nothing compares) can
+// differ.
+func (vm *VM) runBody(insts []isa.Inst, pc, fetchFrom, fetchEnd uint32) (machine.Outcome, error) {
 	env := vm.Env
 	st := vm.State
-	env.Cycles += f.staticCycles
-	m := env.Model
-	cb := uint32(m.CodeBytesPerInst)
-	pc := f.GuestPC
-	n := len(f.Insts)
-
-	// Fast path: the whole body fits in the remaining instruction budget,
-	// so the limit check hoists out of the loop, the I-fetches collapse to
-	// one access per touched line (fetch is sequential, so re-accessing
-	// the current line is an LRU-neutral hit — the distinct-line sequence,
-	// and therefore every miss and every replacement decision, is
-	// unchanged), and the body up to the terminator runs through the
-	// batched machine.ExecStraight.
-	if st.Instret+uint64(n) <= vm.limit {
-		line := uint32(m.ICache.LineBytes)
-		lastAddr := hostBase + uint32(n-1)*cb
-		env.IFetch(hostBase)
-		for a := (hostBase &^ (line - 1)) + line; a <= lastAddr; a += line {
-			env.IFetch(a)
-		}
-		var err error
-		pc, err = machine.ExecStraight(st, env, f.Insts[:n-1], pc)
-		if err != nil {
-			return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", f.GuestPC, err)
-		}
-		term := f.Insts[n-1]
-		if term.Op.IsMem() {
-			env.DTouch(st.Regs[term.Rs1] + uint32(term.Imm))
-		}
-		out, err := machine.Exec(st, term, pc)
-		if err != nil {
-			return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", f.GuestPC, err)
-		}
-		return out, nil
+	line := uint32(env.Model.ICache.LineBytes)
+	for a := fetchFrom; a < fetchEnd; a += line {
+		env.IFetch(a)
 	}
-
-	// Near the end of the budget the per-instruction loop takes over so
-	// the limit faults at the exact instruction.
-	last := n - 1
-	for i, in := range f.Insts {
-		if st.Instret >= vm.limit {
-			return machine.Outcome{}, fmt.Errorf("%w (%d instructions)", ErrLimit, vm.limit)
-		}
-		env.IFetch(hostBase + uint32(i)*cb)
-		if in.Op.IsMem() {
-			env.DTouch(st.Regs[in.Rs1] + uint32(in.Imm))
-		}
-		out, err := machine.Exec(st, in, pc)
-		if err != nil {
-			return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", f.GuestPC, err)
-		}
-		if i == last {
-			return out, nil
-		}
-		pc = out.Target
+	head := pc
+	last := len(insts) - 1
+	n, stop := last, st.Instret+uint64(len(insts)) > vm.limit
+	if stop {
+		n = int(vm.limit - st.Instret)
 	}
-	panic("core: fragment without instructions")
+	pc, err := machine.ExecStraight(st, env, insts[:n], pc)
+	if err != nil {
+		return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", head, err)
+	}
+	if stop {
+		return machine.Outcome{}, fmt.Errorf("%w (%d instructions)", ErrLimit, vm.limit)
+	}
+	term := insts[last]
+	if term.Op.IsMem() {
+		env.DTouch(st.Regs[term.Rs1] + uint32(term.Imm))
+	}
+	out, err := machine.Exec(st, term, pc)
+	if err != nil {
+		return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", head, err)
+	}
+	return out, nil
 }
 
 // execFragment runs one fragment body and resolves its exit, returning the
 // next fragment (nil after HALT).
 func (vm *VM) execFragment(f *Fragment) (*Fragment, error) {
-	out, err := vm.execBody(f, f.HostAddr)
+	vm.Env.Cycles += f.staticCycles
+	out, err := vm.runBody(f.Insts, f.GuestPC, f.fetchFrom, f.fetchEnd)
 	if err != nil {
 		return nil, err
 	}

@@ -182,6 +182,27 @@ var testPrograms = map[string]string{
 			.byte 3, 200     ; loop 200x
 			.byte 4          ; halt
 	`,
+	// A chain of forward direct jumps every iteration: traces lay the
+	// successors out fall-through and elide the jumps.
+	"jumpchain": `
+		main:
+			li r10, 0
+			li r11, 5000
+		loop:
+			addi r10, r10, 1
+			jmp hop1
+		hop1:
+			addi r12, r12, 3
+			jmp hop2
+		hop2:
+			xor r12, r12, r10
+			jmp hop3
+		hop3:
+			addi r12, r12, 7
+			blt r10, r11, loop
+			out r12
+			halt
+	`,
 }
 
 // mechanisms every equivalence test runs under.
@@ -505,4 +526,47 @@ func TestWildIndirectTargetFaults(t *testing.T) {
 	if err := vm.Run(1000); err == nil {
 		t.Error("jump to data should fault under the SDT")
 	}
+}
+
+func TestSiteAddressCorrect(t *testing.T) {
+	// The IB site records the guest pc of the block's terminator, which
+	// sits past the block's straight-line body.
+	src := `
+	main:
+		call fn
+		halt
+	fn:
+		addi r1, r1, 1
+		addi r1, r1, 2
+		ret
+	`
+	img := assemble(t, src)
+	cfg, _ := ib.Parse("ibtc:64")
+	var siteAt uint32
+	probe := &siteProbe{inner: cfg.Handler, sawSite: &siteAt}
+	vm, err := core.New(img, core.Options{Model: hostarch.X86(), Handler: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := img.Symbols["fn"] + 2*isa.WordSize; siteAt != want {
+		t.Errorf("ret site recorded at %#x, want %#x", siteAt, want)
+	}
+}
+
+// siteProbe records the guest pc of the return site it resolves.
+type siteProbe struct {
+	inner   core.IBHandler
+	sawSite *uint32
+}
+
+func (p *siteProbe) Name() string                       { return "probe" }
+func (p *siteProbe) Init(vm *core.VM)                   { p.inner.Init(vm) }
+func (p *siteProbe) Flush(vm *core.VM)                  { p.inner.Flush(vm) }
+func (p *siteProbe) Attach(vm *core.VM, s *core.IBSite) { p.inner.Attach(vm, s) }
+func (p *siteProbe) Resolve(vm *core.VM, s *core.IBSite, target uint32) (*core.Fragment, error) {
+	*p.sawSite = s.GuestPC
+	return p.inner.Resolve(vm, s, target)
 }

@@ -10,10 +10,10 @@
 //     never compared.
 //  2. Metamorphic invariants — the simulation is a pure function of
 //     image × configuration (repeated runs are bit-identical, including
-//     cycle counts); fragment-cache flush pressure, superblock formation
-//     and trace formation may only change cycle counts, never
-//     guest-visible state; and the profile's mechanism hit/miss counts
-//     must account exactly for every executed indirect branch.
+//     cycle counts); fragment-cache flush pressure and trace formation
+//     may only change cycle counts, never guest-visible state; and the
+//     profile's mechanism hit/miss counts must account exactly for every
+//     executed indirect branch.
 //  3. Transparency hazards — fast returns sacrifice transparency by
 //     construction: a guest that reads its own return address observes a
 //     fragment-cache address. The oracle knows the documented shape of
@@ -27,7 +27,9 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"sdt/internal/asm"
@@ -53,7 +55,7 @@ type Config struct {
 	// Limit is the instruction budget per run (0 = DefaultLimit).
 	Limit uint64
 	// Options, when set, mutates the VM options after spec parsing —
-	// the metamorphic variants (flush pressure, superblocks, traces)
+	// the metamorphic variants (flush pressure, traces)
 	// plug in here.
 	Options func(*core.Options)
 	// Handler, when set, is applied to the parsed handler before the VM
@@ -161,7 +163,7 @@ func (r *Report) compare(img *program.Image, lax bool) {
 		return
 	}
 	if r.NativeErr != nil || r.VMErr != nil {
-		r.compareErrors()
+		r.compareErrors(img)
 		return
 	}
 	r.compareState(img)
@@ -171,10 +173,16 @@ func (r *Report) compare(img *program.Image, lax bool) {
 // compareErrors checks fault symmetry: a guest that faults (or exhausts
 // its budget) natively must do the same under translation, at the same
 // retired-instruction count — translation must not create, hide or move
-// guest-visible errors.
-func (r *Report) compareErrors() {
+// guest-visible errors. A run that both sides stop at the instruction
+// limit ends on an exact instruction boundary, so its full architectural
+// state is compared as well.
+func (r *Report) compareErrors(img *program.Image) {
 	if (r.NativeErr == nil) != (r.VMErr == nil) {
 		r.failf("error", "native err=%v, sdt err=%v", r.NativeErr, r.VMErr)
+		return
+	}
+	if errors.Is(r.NativeErr, machine.ErrLimit) && errors.Is(r.VMErr, core.ErrLimit) {
+		r.compareState(img)
 		return
 	}
 	ni, si := r.Native.State.Instret, r.VM.State.Instret
@@ -234,6 +242,9 @@ func (r *Report) compareState(img *program.Image) {
 func (r *Report) compareMemory(img *program.Image, nm, sm []byte) {
 	if len(nm) != len(sm) {
 		r.failf("mem", "memory sizes differ: native %d, sdt %d", len(nm), len(sm))
+		return
+	}
+	if bytes.Equal(nm, sm) {
 		return
 	}
 	reported := 0
@@ -397,7 +408,6 @@ func Variants() []Variant {
 		// ~6 bytes/inst plus a 16-byte stub), so even corpus-scale
 		// programs flush the cache repeatedly.
 		{"flushpressure", func(o *core.Options) { o.CacheBytes = 512 }},
-		{"superblocks", func(o *core.Options) { o.Superblocks = true }},
 		// Eager trace formation: threshold 3 makes corpus-scale programs
 		// form superblocks within their short budgets.
 		{"traces", func(o *core.Options) { o.Traces = true; o.TraceThreshold = 3 }},

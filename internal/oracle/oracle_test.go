@@ -7,7 +7,9 @@ import (
 
 	"sdt/internal/asm"
 	"sdt/internal/core"
+	"sdt/internal/hostarch"
 	"sdt/internal/ib"
+	"sdt/internal/machine"
 	"sdt/internal/oracle"
 	"sdt/internal/program"
 	"sdt/internal/randprog"
@@ -43,6 +45,77 @@ func TestSweepEveryMechanism(t *testing.T) {
 				t.Errorf("%s", f)
 			}
 		})
+	}
+}
+
+// TestSweepLimitStops sweeps instruction budgets that stop the guest
+// mid-run — at fragment starts, inside bodies and inside superblock parts —
+// and requires the SDT to stop in the native interpreter's exact
+// architectural state, not only at its retired-instruction count. The
+// corpus-scale program runs more iterations than usual so that every
+// budget stops it.
+func TestSweepLimitStops(t *testing.T) {
+	limits := []uint64{1, 2, 3, 5, 7, 11, 17, 64, 101, 257, 1000, 1337, 4099, 9973}
+	cfg := randprog.Small(1)
+	cfg.Iterations = 80
+	img := build(t, cfg)
+	img.MemSize = 64 << 10 // 1,176 runs: keep per-run setup small
+	native, err := machine.RunImage(img, hostarch.X86(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := native.State.Instret; n <= limits[len(limits)-1] {
+		t.Fatalf("guest retires only %d instructions; every budget must stop it", n)
+	}
+	for _, limit := range limits {
+		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
+			t.Parallel()
+			findings, err := oracle.SweepImage(img, sweepArchs, nil, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range findings {
+				t.Errorf("%s", f)
+			}
+		})
+	}
+}
+
+// TestLimitStopEveryInstruction stops a small call/return loop at every
+// instruction boundary of its run, so some budget lands on each fragment
+// entry — including right after a fast return, where the SDT's pc last
+// held a fragment-cache address.
+func TestLimitStopEveryInstruction(t *testing.T) {
+	img, err := asm.Assemble("calls.s", `
+	main:
+		li r10, 0
+		li r11, 6
+	loop:
+		call fn
+		addi r10, r10, 1
+		blt r10, r11, loop
+		out r12
+		halt
+	fn:
+		addi r12, r12, 5
+		ret
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.MemSize = 64 << 10 // ~1,500 runs: keep per-run setup small
+	native, err := machine.RunImage(img, hostarch.X86(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for limit := uint64(1); limit < native.State.Instret; limit++ {
+		findings, err := oracle.SweepImage(img, []string{"x86"}, nil, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			t.Errorf("limit %d: %s", limit, f)
+		}
 	}
 }
 

@@ -11,22 +11,16 @@ import (
 )
 
 // TestOptionCombinations sweeps the VM's translation-policy options in
-// every combination over random programs: superblocks, traces, fast
-// returns, disabled linking, tiny blocks and a small cache all at once
-// must still be observationally equivalent to native execution.
+// every combination over random programs: traces, fast returns, disabled
+// linking, tiny blocks and a small cache all at once must still be
+// observationally equivalent to native execution.
 func TestOptionCombinations(t *testing.T) {
 	type combo struct {
 		name   string
 		mutate func(*core.Options)
 	}
 	combos := []combo{
-		{"superblocks", func(o *core.Options) { o.Superblocks = true }},
 		{"traces", func(o *core.Options) { o.Traces = true; o.TraceThreshold = 3 }},
-		{"super+traces", func(o *core.Options) {
-			o.Superblocks = true
-			o.Traces = true
-			o.TraceThreshold = 3
-		}},
 		{"traces+tinyblocks", func(o *core.Options) {
 			o.Traces = true
 			o.TraceThreshold = 2
@@ -38,7 +32,6 @@ func TestOptionCombinations(t *testing.T) {
 			o.TraceThreshold = 2
 		}},
 		{"everything", func(o *core.Options) {
-			o.Superblocks = true
 			o.Traces = true
 			o.TraceThreshold = 2
 			o.MaxTraceFrags = 4

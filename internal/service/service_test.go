@@ -257,7 +257,11 @@ func TestDeadlineExceededMidGuest(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("deadline response took %v, want well under 2s for a 100ms deadline", elapsed)
 	}
-	if got := s.met.runsTotal.get(outcomeDeadline).Value(); got != 1 {
+	// execute answers on ctx.Done() before runJob's deferred outcome
+	// increment, so the counter may trail the response.
+	runs := s.met.runsTotal.get(outcomeDeadline)
+	waitFor(t, "deadline outcome count", func() bool { return runs.Value() != 0 })
+	if got := runs.Value(); got != 1 {
 		t.Errorf("deadline outcome count = %d, want 1", got)
 	}
 }

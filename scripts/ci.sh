@@ -58,6 +58,13 @@ fuzz ./internal/oracle  FuzzMinimize
 echo "==> bench smoke"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
+# Simulated results are the science: the full experiment suite must
+# reproduce the committed eval_reference.txt byte for byte. A change that
+# moves a simulated number regenerates the file, says why, and bumps
+# hostarch.CostModelVersion (see EXPERIMENTS.md).
+echo "==> eval_reference drift"
+go run ./cmd/sdtbench | cmp - eval_reference.txt
+
 # Regression gate: the dispatch-path and sweep-engine benchmarks must
 # stay within BENCH_THRESHOLD percent (default 5) of the committed
 # BENCH_6.json baseline, with zero steady-state allocation growth.

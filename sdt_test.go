@@ -155,7 +155,8 @@ func TestWorkloadAccess(t *testing.T) {
 
 func TestExperimentRunnerAPI(t *testing.T) {
 	ids := sdt.ExperimentIDs()
-	if len(ids) != 18 || ids[0] != "E1" || ids[17] != "E18" {
+	// E1..E18 without the retired E14.
+	if len(ids) != 17 || ids[0] != "E1" || ids[16] != "E18" {
 		t.Fatalf("experiment IDs = %v", ids)
 	}
 	r := sdt.NewExperimentRunner()
