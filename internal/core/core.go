@@ -157,7 +157,7 @@ type Fragment struct {
 	staticCycles uint64
 
 	// [fetchFrom, fetchEnd) is the body's emitted code as line-aligned
-	// I-fetch addresses (see VM.runBody).
+	// I-fetch addresses (see machine.RunBody).
 	fetchFrom uint32
 	fetchEnd  uint32
 }

@@ -283,9 +283,9 @@ run:
 		e0 := vm.epoch
 		for idx := range tr.parts {
 			p := &tr.parts[idx]
-			out, err := vm.runBody(p.insts, p.headPC, p.fetchFrom, p.fetchEnd)
+			out, err := machine.RunBody(st, env, p.insts, p.headPC, p.fetchFrom, p.fetchEnd, vm.limit)
 			if err != nil {
-				return nil, err
+				return nil, vm.bodyErr(err, p.headPC)
 			}
 			vm.Prof.SuperOpsRetired += p.fused
 			last := idx == lastIdx

@@ -438,64 +438,25 @@ func (vm *VM) RunContext(ctx context.Context, limit uint64) error {
 	return nil
 }
 
-// runBody executes one straight-line body — a plain fragment or one part
-// of a superblock — starting at guest pc, and returns the terminator's
-// outcome. Exit resolution is the caller's job. [fetchFrom, fetchEnd) is
-// the body's emitted code as line-aligned fetch addresses: fetch within a
-// body is strictly sequential, so re-accessing the current line is an
-// LRU-neutral hit, and one access per line yields the same distinct-line
-// sequence — every miss, every replacement decision — as per-instruction
-// fetching.
-//
-// The body's data-independent cost is the caller's batch charge; the work
-// here is the I-fetch walk, the batched machine.ExecStraight up to the
-// terminator (which charges the D-cache touch of each load and store), and
-// the terminator through machine.Exec. Near the end of the instruction
-// budget only the prefix that fits runs and the limit error is returned:
-// ExecStraight keeps Instret and PC exact, so the run stops in the same
-// architectural state as the native interpreter's. Simulated cycles are a
-// pure sum over an unchanged cache/predictor access sequence, so completed
-// runs total bit-identically to per-instruction charging; only runs cut
-// short by a fault or the limit (whose cycle totals nothing compares) can
-// differ.
-func (vm *VM) runBody(insts []isa.Inst, pc, fetchFrom, fetchEnd uint32) (machine.Outcome, error) {
-	env := vm.Env
-	st := vm.State
-	line := uint32(env.Model.ICache.LineBytes)
-	for a := fetchFrom; a < fetchEnd; a += line {
-		env.IFetch(a)
+// bodyErr rewraps a machine.RunBody error for the body starting at head.
+// The SDT runs every fragment body and superblock part through
+// machine.RunBody, the body runner the native machine shares: near the end
+// of the instruction budget only the prefix that fits runs, leaving the
+// same architectural state as the native machine's.
+func (vm *VM) bodyErr(err error, head uint32) error {
+	if err == machine.ErrLimit {
+		return fmt.Errorf("%w (%d instructions)", ErrLimit, vm.limit)
 	}
-	head := pc
-	last := len(insts) - 1
-	n, stop := last, st.Instret+uint64(len(insts)) > vm.limit
-	if stop {
-		n = int(vm.limit - st.Instret)
-	}
-	pc, err := machine.ExecStraight(st, env, insts[:n], pc)
-	if err != nil {
-		return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", head, err)
-	}
-	if stop {
-		return machine.Outcome{}, fmt.Errorf("%w (%d instructions)", ErrLimit, vm.limit)
-	}
-	term := insts[last]
-	if term.Op.IsMem() {
-		env.DTouch(st.Regs[term.Rs1] + uint32(term.Imm))
-	}
-	out, err := machine.Exec(st, term, pc)
-	if err != nil {
-		return machine.Outcome{}, fmt.Errorf("core: in fragment %#x: %w", head, err)
-	}
-	return out, nil
+	return fmt.Errorf("core: in fragment %#x: %w", head, err)
 }
 
 // execFragment runs one fragment body and resolves its exit, returning the
 // next fragment (nil after HALT).
 func (vm *VM) execFragment(f *Fragment) (*Fragment, error) {
 	vm.Env.Cycles += f.staticCycles
-	out, err := vm.runBody(f.Insts, f.GuestPC, f.fetchFrom, f.fetchEnd)
+	out, err := machine.RunBody(vm.State, vm.Env, f.Insts, f.GuestPC, f.fetchFrom, f.fetchEnd, vm.limit)
 	if err != nil {
-		return nil, err
+		return nil, vm.bodyErr(err, f.GuestPC)
 	}
 	return vm.exit(f, out)
 }

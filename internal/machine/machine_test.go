@@ -291,14 +291,6 @@ func TestCallrThroughRA(t *testing.T) {
 	}
 }
 
-func TestInstructionLimit(t *testing.T) {
-	img := assemble(t, "main: jmp main\n")
-	_, err := RunImage(img, hostarch.X86(), 1000)
-	if !errors.Is(err, ErrLimit) {
-		t.Errorf("err = %v, want ErrLimit", err)
-	}
-}
-
 func TestHaltExitCode(t *testing.T) {
 	m := run(t, "main:\n li r4, 3\n halt r4\n")
 	if m.State.ExitCode != 3 {

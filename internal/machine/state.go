@@ -8,7 +8,10 @@
 //     "translated code computes the same answers" testable;
 //   - Machine: the native runner, which couples Exec with a CostEnv to
 //     model the program running directly on the host. Its cycle count is
-//     the denominator of every slowdown the experiments report.
+//     the denominator of every slowdown the experiments report. Run
+//     executes a basic block at a time through RunBody, the body runner
+//     the SDT shares; Step executes one instruction and is the reference
+//     the block executor must match.
 package machine
 
 import (

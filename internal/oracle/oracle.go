@@ -3,6 +3,11 @@
 // machine (internal/machine) and through the SDT under a configured
 // indirect-branch mechanism, and checks a hierarchy of oracles:
 //
+//  0. Block-vs-step equivalence — the native reference is the machine's
+//     single-step Step loop, kept independent of the block executor that
+//     Machine.Run uses. Both native runs must agree: completed runs on the
+//     whole Result (cycles included) and Counts, runs stopped by the limit
+//     or a fault on architectural state, Instret, Counts and the error.
 //  1. Architectural-state equivalence — registers, full memory image,
 //     output stream (checksum, count and retained values), retired
 //     instruction count, exit code and final pc must match the native
@@ -31,6 +36,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdt/internal/asm"
 	"sdt/internal/core"
@@ -81,9 +87,11 @@ func (d Divergence) String() string { return d.Check + ": " + d.Detail }
 
 // Report is the outcome of one differential comparison.
 type Report struct {
-	Native      *machine.Machine
+	Native      *machine.Machine // the Step-loop reference run
+	Block       *machine.Machine // the block executor (Machine.Run)
 	VM          *core.VM
 	NativeErr   error
+	BlockErr    error
 	VMErr       error
 	FastReturns bool
 	Divergences []Divergence
@@ -105,17 +113,22 @@ func Diff(img *program.Image, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return diff(img, cfg, model, nil)
+}
+
+// diff is Diff under a resolved model. nat, when non-nil, carries the
+// native runs of img under model and cfg's limit (Native, Block and their
+// errors), which every cell of a sweep shares; nil runs them here.
+func diff(img *program.Image, cfg Config, model *hostarch.Model, nat *Report) (*Report, error) {
 	mech, err := ib.Parse(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	limit := cfg.Limit
-	if limit == 0 {
-		limit = DefaultLimit
+	limit := cfg.limit()
+	if nat == nil {
+		nat = nativeRuns(img, model, limit)
 	}
-
-	rep := &Report{}
-	rep.Native, rep.NativeErr = runNative(img, model, limit)
+	rep := &Report{Native: nat.Native, NativeErr: nat.NativeErr, Block: nat.Block, BlockErr: nat.BlockErr}
 
 	opts := mech.Options(model)
 	if cfg.Options != nil {
@@ -131,7 +144,43 @@ func Diff(img *program.Image, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+func (cfg *Config) limit() uint64 {
+	if cfg.Limit == 0 {
+		return DefaultLimit
+	}
+	return cfg.Limit
+}
+
+// nativeRuns runs img natively twice: on the Step-loop reference and on
+// the block executor.
+func nativeRuns(img *program.Image, model *hostarch.Model, limit uint64) *Report {
+	var r Report
+	r.Native, r.NativeErr = runNative(img, model, limit)
+	r.Block, r.BlockErr = runBlock(img, model, limit)
+	return &r
+}
+
+// runNative runs img on the single-step reference: a Machine.Step loop
+// under Machine.Run's limit rule (the budget is checked before every
+// instruction), independent of the block executor Run uses.
 func runNative(img *program.Image, model *hostarch.Model, limit uint64) (*machine.Machine, error) {
+	m, err := machine.New(img, model)
+	if err != nil {
+		return nil, err
+	}
+	for !m.State.Halted {
+		if m.State.Instret >= limit {
+			return m, fmt.Errorf("%w (%d instructions)", machine.ErrLimit, limit)
+		}
+		if err := m.Step(); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
+}
+
+// runBlock runs img on the native block executor.
+func runBlock(img *program.Image, model *hostarch.Model, limit uint64) (*machine.Machine, error) {
 	m, err := machine.New(img, model)
 	if err != nil {
 		return nil, err
@@ -147,8 +196,9 @@ func runVM(img *program.Image, opts core.Options, limit uint64) (*core.VM, error
 	return vm, vm.Run(limit)
 }
 
-// compare applies the oracle hierarchy to the finished pair of runs.
+// compare applies the oracle hierarchy to the finished runs.
 func (r *Report) compare(img *program.Image, lax bool) {
+	r.compareBlock()
 	if r.Native == nil || r.VM == nil {
 		// Construction failed on one side: both must reject the image.
 		if (r.Native == nil) != (r.VM == nil) {
@@ -190,6 +240,53 @@ func (r *Report) compareErrors(img *program.Image) {
 		r.failf("error.instret", "fault after %d native instructions vs %d under SDT (native err=%v, sdt err=%v)",
 			ni, si, r.NativeErr, r.VMErr)
 	}
+}
+
+// compareBlock is oracle level 0: the block executor against the Step
+// loop. Both are native, so nothing is exempt — not even under fast
+// returns or Lax.
+func (r *Report) compareBlock() {
+	s, b := r.Native, r.Block
+	if s == nil || b == nil {
+		if (s == nil) != (b == nil) {
+			r.failf("block.construct", "step err=%v, block err=%v", r.NativeErr, r.BlockErr)
+		}
+		return
+	}
+	if fmt.Sprint(r.NativeErr) != fmt.Sprint(r.BlockErr) {
+		r.failf("block.error", "step err=%v, block err=%v", r.NativeErr, r.BlockErr)
+	}
+	if r.NativeErr == nil && r.BlockErr == nil {
+		if sr, br := s.Result(), b.Result(); sr != br {
+			r.failf("block.result", "step %+v, block %+v", sr, br)
+		}
+	}
+	if s.Counts != b.Counts {
+		r.failf("block.counts", "step %+v, block %+v", s.Counts, b.Counts)
+	}
+	if d := stateDiff(s.State, b.State); d != "" {
+		r.failf("block.state", "%s", d)
+	}
+}
+
+// stateDiff describes the first difference between two architectural
+// states, or returns "" when they are identical.
+func stateDiff(a, b *machine.State) string {
+	switch {
+	case a.Instret != b.Instret:
+		return fmt.Sprintf("instret: step %d, block %d", a.Instret, b.Instret)
+	case a.PC != b.PC:
+		return fmt.Sprintf("pc: step %#x, block %#x", a.PC, b.PC)
+	case a.Halted != b.Halted || a.ExitCode != b.ExitCode:
+		return fmt.Sprintf("halt: step %v/%d, block %v/%d", a.Halted, a.ExitCode, b.Halted, b.ExitCode)
+	case a.Regs != b.Regs:
+		return fmt.Sprintf("regs: step %#x, block %#x", a.Regs, b.Regs)
+	case a.Out.Checksum != b.Out.Checksum || a.Out.Count != b.Out.Count || !slices.Equal(a.Out.Values, b.Out.Values):
+		return fmt.Sprintf("out: step %#x/%d, block %#x/%d", a.Out.Checksum, a.Out.Count, b.Out.Checksum, b.Out.Count)
+	case !bytes.Equal(a.Mem, b.Mem):
+		return "memory images differ"
+	}
+	return ""
 }
 
 // compareState is oracle level 1: architectural equivalence, with the two
@@ -353,10 +450,7 @@ func CheckDeterminism(img *program.Image, cfg Config) ([]Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	limit := cfg.Limit
-	if limit == 0 {
-		limit = DefaultLimit
-	}
+	limit := cfg.limit()
 	run := func() (*core.VM, error) {
 		mech, err := ib.Parse(cfg.Spec) // fresh handler per run: no shared state
 		if err != nil {
@@ -462,9 +556,16 @@ func SweepImage(img *program.Image, archs, specs []string, limit uint64) ([]Find
 	}
 	var findings []Finding
 	for _, arch := range archs {
+		model, err := hostarch.ByName(arch)
+		if err != nil {
+			return findings, fmt.Errorf("oracle: %s: %w", arch, err)
+		}
+		cfg := Config{Arch: arch, Limit: limit}
+		nat := nativeRuns(img, model, cfg.limit())
 		for _, spec := range specs {
 			for _, v := range Variants() {
-				rep, err := Diff(img, Config{Arch: arch, Spec: spec, Limit: limit, Options: v.Mutate})
+				cfg.Spec, cfg.Options = spec, v.Mutate
+				rep, err := diff(img, cfg, model, nat)
 				if err != nil {
 					return findings, fmt.Errorf("oracle: %s/%s/%s: %w", arch, spec, v.Name, err)
 				}
