@@ -184,7 +184,7 @@ func phaseGolden(bin, tmp string) (*golden, error) {
 		g.runs = append(g.runs, data)
 		g.keys = append(g.keys, res.Key)
 	}
-	recs, err := d.sweep(chaosSweep, "")
+	recs, _, err := d.stream("/v1/sweep", chaosSweep)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func phaseStorm(bin, tmp string, seed uint64, g *golden) error {
 	want := chaosSweepCells
 	sweepDone := false
 	for attempt := 0; attempt < 8 && !sweepDone; attempt++ {
-		recs, err := d.sweep(chaosSweep, "storm")
+		recs, _, err := d.stream("/v1/sweep", withID(chaosSweep, "storm"))
 		if err != nil {
 			return err
 		}
@@ -346,7 +346,7 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 	if err != nil {
 		return err
 	}
-	recs, err := d.sweep(chaosSweep, "resume")
+	recs, _, err := d.stream("/v1/sweep", withID(chaosSweep, "resume"))
 	if err != nil {
 		d.kill()
 		return err
@@ -388,7 +388,7 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 	if err != nil {
 		return err
 	}
-	recs, err = d.sweep(chaosSweep, "resume")
+	recs, _, err = d.stream("/v1/sweep", withID(chaosSweep, "resume"))
 	if err != nil {
 		return err
 	}
@@ -454,7 +454,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	goldenStream, recs, err := gd.clusterSweep(clusterChaosSweep, "", "")
+	recs, goldenStream, err := gd.stream("/v1/cluster/sweep", clusterChaosSweep)
 	if err != nil {
 		gd.kill()
 		return nil, nil, fmt.Errorf("golden cluster sweep: %w", err)
@@ -470,7 +470,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	for i := range shardCells {
 		shardCells[i] = i
 	}
-	srecs, err := gd.sweepShard(clusterChaosSweep, shardCells)
+	srecs, _, err := gd.stream("/v1/sweep/shard", service.ShardRequest{Sweep: clusterChaosSweep, Cells: shardCells})
 	gd.kill()
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden shard: %w", err)
@@ -545,7 +545,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	}
 	res := make(chan streamResult, 1)
 	go func() {
-		canonical, recs, err := nodes[0].clusterSweep(clusterChaosSweep, "cluster", "")
+		recs, canonical, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"))
 		res <- streamResult{canonical, recs, err}
 	}()
 
@@ -633,7 +633,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 		}
 		survivorRuns += n
 	}
-	canonical2, _, err := nodes[0].clusterSweep(clusterChaosSweep, "cluster", "")
+	_, canonical2, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("follow-up sweep: %w", err)
 	}
@@ -697,7 +697,7 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 	res := make(chan error, 1)
 	go func() {
 		// The stream dies with the coordinator; the error is expected.
-		_, _, err := nodes[0].clusterSweep(clusterChaosSweep, "adopt", "")
+		_, _, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "adopt"))
 		res <- err
 	}()
 
@@ -755,7 +755,7 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 		runsBefore += n
 	}
 
-	canonical, recs, err := nodes[1].clusterSweep(clusterChaosSweep, "adopt", "?adopt=adopt")
+	recs, canonical, err := nodes[1].stream("/v1/cluster/sweep?adopt=adopt", withID(clusterChaosSweep, "adopt"))
 	if err != nil {
 		return fmt.Errorf("adoption sweep: %w", err)
 	}
@@ -1028,50 +1028,22 @@ type chaosRec struct {
 	Total    int                `json:"total"`
 }
 
-// sweep streams one /v1/sweep request (with an optional checkpoint ID)
-// and returns every record.
-func (d *daemon) sweep(req service.SweepRequest, id string) ([]chaosRec, error) {
+// withID returns req checkpointed under id ("" = not checkpointed).
+func withID(req service.SweepRequest, id string) service.SweepRequest {
 	req.ID = id
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(d.base+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data := new(bytes.Buffer)
-		data.ReadFrom(resp.Body)
-		return nil, fmt.Errorf("sweep status %d: %s", resp.StatusCode, data.Bytes())
-	}
-	var recs []chaosRec
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var rec chaosRec
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("decoding stream line %q: %w", sc.Text(), err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, sc.Err()
+	return req
 }
 
-// clusterSweep streams one /v1/cluster/sweep request and returns the
-// canonical bytes (heartbeat progress records filtered out, per
-// docs/CLUSTER.md) plus every non-progress record.
-func (d *daemon) clusterSweep(req service.SweepRequest, id, query string) ([]byte, []chaosRec, error) {
-	req.ID = id
-	body, err := json.Marshal(req)
+// stream posts body to one of the sweep routes (path may carry a query)
+// and reads the whole NDJSON response: every record, plus the canonical
+// bytes — heartbeat progress records stripped, per docs/CLUSTER.md —
+// that deterministic streams are compared by.
+func (d *daemon) stream(path string, body any) ([]chaosRec, []byte, error) {
+	raw, err := json.Marshal(body)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := http.Post(d.base+"/v1/cluster/sweep"+query, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(d.base+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1079,7 +1051,7 @@ func (d *daemon) clusterSweep(req service.SweepRequest, id, query string) ([]byt
 	if resp.StatusCode != http.StatusOK {
 		data := new(bytes.Buffer)
 		data.ReadFrom(resp.Body)
-		return nil, nil, fmt.Errorf("cluster sweep status %d: %s", resp.StatusCode, data.Bytes())
+		return nil, nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, data.Bytes())
 	}
 	var canonical bytes.Buffer
 	var recs []chaosRec
@@ -1092,16 +1064,15 @@ func (d *daemon) clusterSweep(req service.SweepRequest, id, query string) ([]byt
 		}
 		var rec chaosRec
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, fmt.Errorf("decoding stream line %q: %w", sc.Text(), err)
+			return nil, nil, fmt.Errorf("decoding %s line %q: %w", path, line, err)
 		}
-		if rec.Type == "progress" {
-			continue
-		}
-		canonical.Write(line)
-		canonical.WriteByte('\n')
 		recs = append(recs, rec)
+		if rec.Type != "progress" {
+			canonical.Write(line)
+			canonical.WriteByte('\n')
+		}
 	}
-	return canonical.Bytes(), recs, sc.Err()
+	return recs, canonical.Bytes(), sc.Err()
 }
 
 // hasKey reports whether this node serves the sealed result frame for a
@@ -1115,39 +1086,6 @@ func (d *daemon) hasKey(key string) bool {
 	data := new(bytes.Buffer)
 	data.ReadFrom(resp.Body)
 	return resp.StatusCode == http.StatusOK
-}
-
-// sweepShard streams one /v1/sweep/shard request; its cell records
-// carry each cell's content-store key.
-func (d *daemon) sweepShard(req service.SweepRequest, cells []int) ([]chaosRec, error) {
-	body, err := json.Marshal(service.ShardRequest{Sweep: req, Cells: cells})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(d.base+"/v1/sweep/shard", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data := new(bytes.Buffer)
-		data.ReadFrom(resp.Body)
-		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, data.Bytes())
-	}
-	var recs []chaosRec
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var rec chaosRec
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("decoding shard line %q: %w", sc.Text(), err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, sc.Err()
 }
 
 // counterValue scrapes one exact metric series (0 if absent).

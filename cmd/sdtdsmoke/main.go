@@ -379,7 +379,7 @@ func membershipSmoke(bin, tmp string) error {
 	if err != nil {
 		return err
 	}
-	golden, _, err := clusterStream(gd.base, body)
+	_, golden, err := gd.stream("/v1/cluster/sweep", req)
 	gd.kill()
 	if err != nil {
 		return fmt.Errorf("golden cluster sweep: %w", err)
@@ -505,7 +505,7 @@ func membershipSmoke(bin, tmp string) error {
 	if err := waitRing(survivors, 2, 3, 10*time.Second); err != nil {
 		return err
 	}
-	final, _, err := clusterStream(nodes[0].base, body)
+	_, final, err := nodes[0].stream("/v1/cluster/sweep", req)
 	if err != nil {
 		return fmt.Errorf("post-leave sweep: %w", err)
 	}
@@ -514,41 +514,6 @@ func membershipSmoke(bin, tmp string) error {
 	}
 	log.Print("membership leave OK (member drained, new ring everywhere, stream byte-identical)")
 	return nil
-}
-
-// clusterStream posts one /v1/cluster/sweep body and returns the
-// canonical stream (progress heartbeats filtered out) plus the records.
-func clusterStream(base string, body []byte) ([]byte, []sweepRec, error) {
-	resp, err := http.Post(base+"/v1/cluster/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return nil, nil, fmt.Errorf("status %d: %s", resp.StatusCode, data)
-	}
-	var canonical bytes.Buffer
-	var recs []sweepRec
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec sweepRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, fmt.Errorf("decoding %q: %w", sc.Text(), err)
-		}
-		if rec.Type == "progress" {
-			continue
-		}
-		canonical.Write(line)
-		canonical.WriteByte('\n')
-		recs = append(recs, rec)
-	}
-	return canonical.Bytes(), recs, sc.Err()
 }
 
 // postAdmin posts a JSON body with the admin token and decodes the
@@ -661,32 +626,43 @@ type sweepRec struct {
 	Canceled int                `json:"canceled"`
 }
 
-// sweep posts req to /v1/sweep and decodes the whole NDJSON stream.
-func (d *daemon) sweep(req service.SweepRequest) ([]sweepRec, error) {
-	body, err := json.Marshal(req)
+// stream posts body to one of the sweep routes and reads the whole
+// NDJSON response: every record, plus the canonical bytes (progress
+// heartbeats stripped) that deterministic streams are compared by.
+func (d *daemon) stream(path string, body any) ([]sweepRec, []byte, error) {
+	raw, err := json.Marshal(body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	resp, err := http.Post(d.base+"/v1/sweep", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(d.base+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, data)
+		return nil, nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, data)
 	}
+	var canonical bytes.Buffer
 	var recs []sweepRec
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
 		var rec sweepRec
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("decoding %q: %w", sc.Text(), err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, nil, fmt.Errorf("decoding %q: %w", line, err)
 		}
 		recs = append(recs, rec)
+		if rec.Type != "progress" {
+			canonical.Write(line)
+			canonical.WriteByte('\n')
+		}
 	}
-	return recs, sc.Err()
+	return recs, canonical.Bytes(), sc.Err()
 }
 
 // splitSweep indexes a sweep stream: cell records by matrix index, plus
@@ -721,7 +697,7 @@ func (d *daemon) sweepSmoke() error {
 		Mechs:     []string{"ibtc:4096", "sieve:1024"},
 		Limit:     20_000_000,
 	}
-	recs, err := d.sweep(req)
+	recs, _, err := d.stream("/v1/sweep", req)
 	if err != nil {
 		return err
 	}
@@ -741,7 +717,7 @@ func (d *daemon) sweepSmoke() error {
 
 	// Cached re-submission: every cell served from the store, results
 	// byte-identical per index.
-	again, err := d.sweep(req)
+	again, _, err := d.stream("/v1/sweep", req)
 	if err != nil {
 		return fmt.Errorf("re-submission: %w", err)
 	}
@@ -763,7 +739,7 @@ func (d *daemon) sweepSmoke() error {
 	log.Print("sweep cached re-submission OK (4/4 cached, byte-identical)")
 
 	// Poisoned-cell isolation: an unknown workload fails only its own cell.
-	recs, err = d.sweep(service.SweepRequest{
+	recs, _, err = d.stream("/v1/sweep", service.SweepRequest{
 		Workloads: []string{"gzip", "nosuchworkload"},
 		Mechs:     []string{"ibtc:4096"},
 		Limit:     20_000_000,

@@ -13,13 +13,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"sdt/internal/cluster"
-	"sdt/internal/faultinject"
 	"sdt/internal/store"
 	"sdt/internal/sweep"
 )
@@ -70,14 +68,6 @@ type (
 	}
 )
 
-// plannedCell is a validated sweep cell with its content-store key —
-// the unit the coordinator partitions, dispatches and journals.
-type plannedCell struct {
-	idx  int
-	cell sweep.Cell
-	key  string
-}
-
 // handlePeerResult serves the sealed entry for a locally stored result.
 // It reads through ByteStore.Get, which is strictly local — so a fleet
 // of nodes serving each other can never cascade a fetch into further
@@ -101,38 +91,13 @@ func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 // result's store key attached) in completion order. Shards are
 // journal-less: checkpointing is the coordinator's job.
 func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if s.draining.Load() {
-		s.setRetryAfter(w)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
 	var req ShardRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
+	m, ok := s.readSweep(w, r, &req, &req.Sweep)
+	if !ok {
 		return
 	}
 	if req.Sweep.ID != "" {
 		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "shard requests are journal-less; checkpointing belongs to the coordinator")
-		return
-	}
-	if len(req.Sweep.Workloads) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "workloads must be non-empty")
-		return
-	}
-	for _, sc := range req.Sweep.Scales {
-		if sc < 0 {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, fmt.Sprintf("negative scale %d", sc))
-			return
-		}
-	}
-	m := req.Sweep.matrix()
-	if n := m.Size(); n > s.cfg.MaxSweepCells {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("sweep expands to %d cells, limit %d", n, s.cfg.MaxSweepCells))
 		return
 	}
 	if len(req.Cells) == 0 {
@@ -151,116 +116,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		seen[idx] = true
 		work = append(work, idxCell{idx: idx, cell: cells[idx]})
 	}
-
-	// A drain mid-shard cancels this context like any other sweep; the
-	// coordinator sees canceled cell records and reassigns them.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	sweepID := s.registerSweep(cancel)
-	defer s.unregisterSweep(sweepID)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	s.countRequest(r, http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) {
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	emit(SweepStart{Type: "start", Total: len(work)})
-
-	eng := &sweep.Engine[idxCell, cellValue]{
-		Workers: s.cfg.Workers,
-		Retries: sweepRetries,
-		IsTransient: func(err error) bool {
-			return errors.Is(err, errQueueFull) || faultinject.IsTransient(err)
-		},
-		Exec: func(ctx context.Context, ic idxCell) (cellValue, error) {
-			return s.runCell(ctx, ic.cell, &req.Sweep)
-		},
-	}
-	if s.cfg.Faults != nil {
-		eng.Faults = s.cfg.Faults
-	}
-	outcomes := make(chan sweep.Outcome[idxCell, cellValue])
-	streamErr := make(chan error, 1)
-	go func() {
-		streamErr <- eng.Stream(ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
-			outcomes <- o
-		})
-		close(outcomes)
-	}()
-	heartbeat := time.NewTicker(s.cfg.SweepHeartbeat)
-	defer heartbeat.Stop()
-
-	var done, errCount, canceled int
-	for outcomes != nil {
-		select {
-		case o, ok := <-outcomes:
-			if !ok {
-				outcomes = nil
-				continue
-			}
-			rec := SweepCellRecord{
-				Type:      "cell",
-				Index:     o.Item.idx,
-				Workload:  o.Item.cell.Workload,
-				Arch:      o.Item.cell.Arch,
-				Mech:      o.Item.cell.Mech,
-				Scale:     o.Item.cell.Scale,
-				Key:       o.Result.key,
-				Cached:    o.Result.cached,
-				Attempts:  o.Attempts,
-				ElapsedMS: float64(o.Elapsed.Microseconds()) / 1000,
-			}
-			rec.Result, rec.Error = cellOutcome(o.Err, o.Result.data)
-			switch {
-			case o.Err == nil:
-				done++
-				s.met.sweepCells.get(outcomeOK).Inc()
-			case errors.Is(o.Err, context.Canceled):
-				canceled++
-				s.met.sweepCells.get(outcomeCanceled).Inc()
-			default:
-				errCount++
-				s.met.sweepCells.get(outcomeError).Inc()
-			}
-			emit(rec)
-		case <-heartbeat.C:
-			emit(SweepProgress{Type: "progress", Done: done, Errors: errCount, Total: len(work)})
-		}
-	}
-	err := <-streamErr
-	emit(SweepDone{
-		Type:      "done",
-		Done:      done,
-		Errors:    errCount,
-		Canceled:  canceled,
-		Total:     len(work),
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	})
-	s.met.sweepsTotal.get(outcomeLabel(err)).Inc()
-	s.cfg.Log.Printf("sweep shard %d cells: done=%d errors=%d canceled=%d elapsed=%s",
-		len(work), done, errCount, canceled, time.Since(start).Round(time.Millisecond))
-}
-
-// cellOutcome maps a cell execution outcome to the (result, error)
-// pair of its stream record. Exactly one is set.
-func cellOutcome(err error, data []byte) (json.RawMessage, *ErrorInfo) {
-	switch {
-	case err == nil:
-		return data, nil
-	case errors.Is(err, context.Canceled):
-		return nil, &ErrorInfo{Code: CodeCanceled, Message: err.Error()}
-	case errors.Is(err, errCellInvalid):
-		return nil, &ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}
-	default:
-		_, code := mapError(err)
-		return nil, &ErrorInfo{Code: code, Message: err.Error()}
-	}
+	s.streamSweep(w, r, &req.Sweep, work, nil, nil, true)
 }
 
 // reassignable reports whether a shard cell record describes work that
@@ -280,33 +136,9 @@ func reassignable(e *ErrorInfo) bool {
 // stream, which is what makes N-node output comparable to 1-node.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if s.draining.Load() {
-		s.setRetryAfter(w)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
 	var req SweepRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
-		return
-	}
-	if len(req.Workloads) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "workloads must be non-empty")
-		return
-	}
-	for _, sc := range req.Scales {
-		if sc < 0 {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, fmt.Sprintf("negative scale %d", sc))
-			return
-		}
-	}
-	m := req.matrix()
-	if n := m.Size(); n > s.cfg.MaxSweepCells {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("sweep expands to %d cells, limit %d", n, s.cfg.MaxSweepCells))
+	m, ok := s.readSweep(w, r, &req, &req)
+	if !ok {
 		return
 	}
 	cells := m.Cells()
@@ -328,44 +160,28 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	// additionally pulls a dead coordinator's replicated journal from
 	// the fleet, letting a survivor take the sweep over (the client
 	// resubmits the same request body to the survivor).
-	if id := r.URL.Query().Get("resume"); id != "" {
+	var adopt func(id string) bool
+	if id := r.URL.Query().Get("adopt"); id != "" {
 		req.ID = id
-	}
-	adopt := r.URL.Query().Get("adopt")
-	if adopt != "" {
-		req.ID = adopt
-	}
-	var jr *sweepJournal
-	var shipper *journalShipper
-	if req.ID != "" {
-		if !validSweepID(req.ID) {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				"sweep id must be 1-64 chars of [A-Za-z0-9._-] starting with an alphanumeric")
-			return
-		}
-		if s.cfg.StoreDir == "" {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				"sweep checkpointing requires an on-disk store")
-			return
-		}
-		if adopt != "" {
-			if err := s.adoptJournal(adopt); err != nil {
+		adopt = func(id string) bool {
+			err := s.adoptJournal(id)
+			if err != nil {
 				status, code := http.StatusInternalServerError, CodeInternal
 				if errors.Is(err, errNoJournal) {
 					status, code = http.StatusNotFound, CodeNotFound
 				}
-				s.writeError(w, r, status, code, fmt.Sprintf("adopting sweep %s: %v", adopt, err))
-				return
+				s.writeError(w, r, status, code, fmt.Sprintf("adopting sweep %s: %v", id, err))
 			}
+			return err == nil
 		}
-		var jerr error
-		jr, jerr = openSweepJournal(filepath.Join(s.cfg.StoreDir, "sweeps"),
-			req.ID, sweepDigest(m, req.Seed, req.Limit), s.cfg.Faults, s.journalError)
-		if jerr != nil {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, jerr.Error())
-			return
-		}
-		if adopt != "" {
+	}
+	jr, ok := s.openJournal(w, r, &req, m, adopt)
+	if !ok {
+		return
+	}
+	var shipper *journalShipper
+	if jr != nil {
+		if adopt != nil {
 			s.met.sweepsAdopted.Inc()
 		}
 		if view != nil {
@@ -379,61 +195,47 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancelCause(r.Context())
 	defer cancel(nil)
-	sweepID := s.registerSweep(cancel)
-	defer s.unregisterSweep(sweepID)
+	defer s.unregisterSweep(s.registerSweep(cancel))
 
+	canonical := func(ic idxCell, result json.RawMessage, e *ErrorInfo) clusterCell {
+		return clusterCell{
+			Type:     "cell",
+			Index:    ic.idx,
+			Workload: ic.cell.Workload,
+			Arch:     ic.cell.Arch,
+			Mech:     ic.cell.Mech,
+			Scale:    ic.cell.Scale,
+			Result:   result,
+			Error:    e,
+		}
+	}
 	// Plan every cell: validate and derive its store key. Planning
 	// compiles each workload|scale image once (memoized in s.images).
 	// Invalid cells become canonical error records without dispatch;
 	// journaled cells whose bytes are still held locally are replayed.
-	type replay struct {
-		pc   plannedCell
-		data []byte
-	}
-	var (
-		invalid []plannedCell
-		errInfo = make(map[int]*ErrorInfo)
-		replays []replay
-		pending = make(map[int]plannedCell, len(cells))
-	)
+	var invalid, replays []clusterCell
+	pending := make(map[int]idxCell, len(cells))
 	for i, c := range cells {
-		key, err := s.planCell(ctx, c, &req)
+		key, _, _, err := s.prepareCell(ctx, c, &req)
+		ic := idxCell{idx: i, cell: c, key: key}
 		if err != nil {
-			pc := plannedCell{idx: i, cell: c}
-			invalid = append(invalid, pc)
-			_, code := mapError(err)
-			if errors.Is(err, errCellInvalid) {
-				code = CodeInvalidArgument
-			}
-			errInfo[i] = &ErrorInfo{Code: code, Message: err.Error()}
+			_, e := cellOutcome(err, nil)
+			invalid = append(invalid, canonical(ic, nil, e))
 			continue
 		}
-		pc := plannedCell{idx: i, cell: c, key: key}
-		if jr != nil {
-			if key, ok := jr.have[i]; ok {
-				if data, ok := s.store.Get(key); ok {
-					replays = append(replays, replay{pc: pc, data: data})
-					continue
-				}
-			}
+		if data, ok := s.replay(jr, i); ok {
+			replays = append(replays, canonical(ic, data, nil))
+			continue
 		}
-		pending[i] = pc
+		pending[i] = ic
 	}
 
-	// Committed to streaming.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	s.countRequest(r, http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var wmu sync.Mutex
+	emit := s.startStream(w, r)
+	var wmu sync.Mutex // the merge and the heartbeat write from different goroutines
 	writeRec := func(v any) {
 		wmu.Lock()
 		defer wmu.Unlock()
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		emit(v)
 	}
 	writeRec(clusterStart{Type: "start", Total: len(cells), Resumed: len(replays)})
 
@@ -447,47 +249,35 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		errCount int
 		canceled int
 	)
-	canonical := func(pc plannedCell, result json.RawMessage, e *ErrorInfo) clusterCell {
-		return clusterCell{
-			Type:     "cell",
-			Index:    pc.idx,
-			Workload: pc.cell.Workload,
-			Arch:     pc.cell.Arch,
-			Mech:     pc.cell.Mech,
-			Scale:    pc.cell.Scale,
-			Result:   result,
-			Error:    e,
-		}
-	}
-	for _, pc := range invalid {
+	for _, rec := range invalid {
 		errCount++
 		s.met.clusterCells.get(outcomeError).Inc()
-		merge.Add(pc.idx, canonical(pc, nil, errInfo[pc.idx]))
+		merge.Add(rec.Index, rec)
 	}
-	for _, rp := range replays {
+	for _, rec := range replays {
 		done++
 		s.met.clusterCells.get(outcomeOK).Inc()
 		s.met.sweepReplayed.Inc()
-		merge.Add(rp.pc.idx, canonical(rp.pc, rp.data, nil))
+		merge.Add(rec.Index, rec)
 	}
 
 	// finalize merges one dispatched cell's terminal outcome. Called
 	// concurrently from local shard engines and peer stream readers.
-	finalize := func(pc plannedCell, result json.RawMessage, e *ErrorInfo) {
+	finalize := func(ic idxCell, result json.RawMessage, e *ErrorInfo) {
 		mu.Lock()
-		if _, live := pending[pc.idx]; !live {
+		if _, live := pending[ic.idx]; !live {
 			mu.Unlock()
 			return // duplicate delivery (e.g. a record racing a reassignment)
 		}
-		delete(pending, pc.idx)
+		delete(pending, ic.idx)
 		switch {
 		case e == nil:
 			done++
 			s.met.clusterCells.get(outcomeOK).Inc()
 			if jr != nil {
-				jr.record(pc.idx, pc.key)
+				jr.record(ic.idx, ic.key)
 			}
-		case e.Code == CodeCanceled || e.Code == CodeDraining:
+		case reassignable(e):
 			canceled++
 			s.met.clusterCells.get(outcomeCanceled).Inc()
 		default:
@@ -495,12 +285,13 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			s.met.clusterCells.get(outcomeError).Inc()
 		}
 		mu.Unlock()
-		merge.Add(pc.idx, canonical(pc, result, e))
+		merge.Add(ic.idx, canonical(ic, result, e))
 	}
 
 	heartbeat := time.NewTicker(s.cfg.SweepHeartbeat)
-	hbStop := make(chan struct{})
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(hbDone)
 		defer heartbeat.Stop()
 		for {
 			select {
@@ -546,29 +337,35 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
-		shards := make(map[string][]plannedCell)
+		shards := make(map[string][]idxCell)
 		for _, i := range idxs {
-			pc := pending[i]
+			ic := pending[i]
 			name := selfName
 			if view != nil {
-				name = view.Assign(pc.key, func(p *cluster.Peer) bool { return p.Self() || alive[p.Name()] }).Name()
+				name = view.Assign(ic.key, func(p *cluster.Peer) bool { return p.Self() || alive[p.Name()] }).Name()
 			}
-			shards[name] = append(shards[name], pc)
+			shards[name] = append(shards[name], ic)
 		}
 		mu.Unlock()
 
 		var wg sync.WaitGroup
 		for name, batch := range shards {
 			if view == nil || name == selfName {
+				// The self shard runs on the local engine. Unlike a peer
+				// dispatch it cannot fail as a unit, which is what
+				// guarantees this loop terminates.
 				wg.Add(1)
-				go func(batch []plannedCell) {
+				go func(batch []idxCell) {
 					defer wg.Done()
-					s.runShardLocal(ctx, &req, batch, finalize)
+					s.newEngine(&req).Stream(ctx, batch, func(o sweep.Outcome[idxCell, cellValue]) {
+						result, e := cellOutcome(o.Err, o.Result.data)
+						finalize(o.Item, result, e)
+					})
 				}(batch)
 				continue
 			}
 			wg.Add(1)
-			go func(p *cluster.Peer, batch []plannedCell) {
+			go func(p *cluster.Peer, batch []idxCell) {
 				defer wg.Done()
 				if err := s.dispatchShard(ctx, p, &req, batch, view.Epoch(), finalize); err != nil {
 					s.cfg.Log.Printf("cluster sweep: shard on %s failed: %v", p.Name(), err)
@@ -581,7 +378,11 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 	}
+	// Wait for the heartbeat to exit: a tick that wins its select after
+	// hbStop closes must not write past the done record, nor after the
+	// handler has returned and the ResponseWriter is gone.
 	close(hbStop)
+	<-hbDone
 
 	mu.Lock()
 	complete := done == len(cells)
@@ -605,47 +406,6 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		len(cells), final.Done, final.Errors, final.Canceled, len(replays), reassigned, time.Since(start).Round(time.Millisecond))
 }
 
-// planCell validates one cell and returns its content-store key,
-// compiling the workload image through the memoized image group. An
-// invalid cell reports errCellInvalid.
-func (s *Server) planCell(ctx context.Context, c sweep.Cell, req *SweepRequest) (string, error) {
-	rr, img, err := s.prepareCell(ctx, c, req)
-	if err != nil {
-		return "", err
-	}
-	return rr.key(img), nil
-}
-
-// runShardLocal executes a batch of planned cells through the local
-// sweep engine, delivering each terminal outcome to finalize. It is the
-// coordinator's "self shard": unlike a peer dispatch it cannot fail as
-// a unit, which is what guarantees the dispatch loop terminates.
-func (s *Server) runShardLocal(ctx context.Context, req *SweepRequest, batch []plannedCell, finalize func(plannedCell, json.RawMessage, *ErrorInfo)) {
-	byIdx := make(map[int]plannedCell, len(batch))
-	work := make([]idxCell, len(batch))
-	for i, pc := range batch {
-		byIdx[pc.idx] = pc
-		work[i] = idxCell{idx: pc.idx, cell: pc.cell}
-	}
-	eng := &sweep.Engine[idxCell, cellValue]{
-		Workers: s.cfg.Workers,
-		Retries: sweepRetries,
-		IsTransient: func(err error) bool {
-			return errors.Is(err, errQueueFull) || faultinject.IsTransient(err)
-		},
-		Exec: func(ctx context.Context, ic idxCell) (cellValue, error) {
-			return s.runCell(ctx, ic.cell, req)
-		},
-	}
-	if s.cfg.Faults != nil {
-		eng.Faults = s.cfg.Faults
-	}
-	eng.Stream(ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
-		result, e := cellOutcome(o.Err, o.Result.data)
-		finalize(byIdx[o.Item.idx], result, e)
-	})
-}
-
 // dispatchShard sends one peer its shard and consumes the returned
 // NDJSON stream, delivering terminal cell outcomes to finalize. Cells
 // the shard reports as canceled (its node draining, or the stream dying
@@ -653,17 +413,17 @@ func (s *Server) runShardLocal(ctx context.Context, req *SweepRequest, batch []p
 // reassignment — unless this coordinator itself is shutting down. Any
 // error return means the peer should be distrusted for the rest of the
 // sweep.
-func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepRequest, batch []plannedCell, epoch uint64, finalize func(plannedCell, json.RawMessage, *ErrorInfo)) error {
+func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepRequest, batch []idxCell, epoch uint64, finalize func(idxCell, json.RawMessage, *ErrorInfo)) error {
 	if s.cfg.Faults != nil {
 		if err := s.cfg.Faults.Fail(cluster.SiteShard); err != nil {
 			return err
 		}
 	}
-	byIdx := make(map[int]plannedCell, len(batch))
+	byIdx := make(map[int]idxCell, len(batch))
 	indices := make([]int, len(batch))
-	for i, pc := range batch {
-		byIdx[pc.idx] = pc
-		indices[i] = pc.idx
+	for i, ic := range batch {
+		byIdx[ic.idx] = ic
+		indices[i] = ic.idx
 	}
 	shardReq := ShardRequest{Sweep: *req, Cells: indices, RingEpoch: epoch}
 	shardReq.Sweep.ID = "" // journaling is the coordinator's job
@@ -699,7 +459,7 @@ func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepR
 		}
 		switch rec.Type {
 		case "cell":
-			pc, ok := byIdx[rec.Index]
+			ic, ok := byIdx[rec.Index]
 			if !ok {
 				return fmt.Errorf("shard answered for cell %d it was never assigned", rec.Index)
 			}
@@ -709,7 +469,7 @@ func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepR
 				abandoned = true
 				continue
 			}
-			finalize(pc, rec.Result, rec.Error)
+			finalize(ic, rec.Result, rec.Error)
 		case "done":
 			if abandoned {
 				return fmt.Errorf("shard abandoned cells while draining")

@@ -247,7 +247,7 @@ func TestClusterSweepRoutesAroundDrainingPeer(t *testing.T) {
 	m := req.matrix()
 	expected := 0
 	for _, c := range m.Cells() {
-		key, err := nodes[0].s.planCell(context.Background(), c, &req)
+		key, _, _, err := nodes[0].s.prepareCell(context.Background(), c, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,6 +444,27 @@ func TestPeerOutageDegradesGracefully(t *testing.T) {
 	}
 }
 
+// The cluster stream's heartbeat goroutine must be gone before the done
+// record: a tick that raced the end of the sweep used to write a progress
+// record after done, or after the handler had returned, which panicked
+// the daemon on the dead ResponseWriter.
+func TestClusterSweepHeartbeatEndsBeforeDone(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, SweepHeartbeat: time.Microsecond})
+	req := SweepRequest{Workloads: []string{"gzip"}, Mechs: []string{"ibtc:256"}, Limit: 20_000_000}
+	for i := 0; i < 200; i++ {
+		status, lines := postLines(t, ts.URL+"/v1/cluster/sweep", req)
+		if status != http.StatusOK {
+			t.Fatalf("sweep %d: status = %d", i, status)
+		}
+		var last struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != "done" {
+			t.Fatalf("sweep %d: last record %s, want the done record", i, lines[len(lines)-1])
+		}
+	}
+}
+
 // Shard endpoint contract: key-carrying records for exactly the
 // requested cells, and journal-less by design.
 func TestSweepShardEndpoint(t *testing.T) {
@@ -529,6 +550,10 @@ func TestSweepShardEndpoint(t *testing.T) {
 	bad = ShardRequest{Sweep: clusterMatrix, Cells: []int{0, 0}}
 	if status, _ := post(bad); status != http.StatusBadRequest {
 		t.Fatalf("duplicate cell accepted: %d", status)
+	}
+	bad = ShardRequest{Sweep: clusterMatrix, Cells: []int{}}
+	if status, _ := post(bad); status != http.StatusBadRequest {
+		t.Fatalf("empty cells accepted: %d", status)
 	}
 	withID := clusterMatrix
 	withID.ID = "nope"

@@ -88,14 +88,14 @@ func validSweepID(id string) bool {
 	return true
 }
 
-// openSweepJournal loads (or initializes) the checkpoint for id under
-// dir. An existing journal for a different matrix digest is refused with
+// openSweepJournal loads (or initializes) the checkpoint for id at
+// path. An existing journal for a different matrix digest is refused with
 // errJournalMismatch; an unreadable or torn journal is discarded and
 // restarted fresh — checkpointing must never make a sweep less available
 // than having no checkpoint at all.
-func openSweepJournal(dir, id, digest string, faults *faultinject.Injector, onErr func(error)) (*sweepJournal, error) {
+func openSweepJournal(path, id, digest string, faults *faultinject.Injector, onErr func(error)) (*sweepJournal, error) {
 	j := &sweepJournal{
-		path:   filepath.Join(dir, id+".json"),
+		path:   path,
 		state:  journalFile{ID: id, Matrix: digest},
 		have:   make(map[int]string),
 		faults: faults,

@@ -346,8 +346,10 @@ func TestClusterSweepAdoptedBySurvivor(t *testing.T) {
 
 	// Pull the plug on the coordinator once the fleet completed at least
 	// one cell (but, with 150ms latency per cell, not the whole matrix).
+	// The coordinator's merged count covers its own shard as well as the
+	// peer's; sdtd_sweep_cells_total would count the peer's shard alone.
 	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].s.met.sweepCells.get(outcomeOK).Value()+nodes[1].s.met.sweepCells.get(outcomeOK).Value() == 0 {
+	for nodes[0].s.met.clusterCells.get(outcomeOK).Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no cell completed before the kill deadline")
 		}

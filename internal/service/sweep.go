@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"sdt/internal/faultinject"
@@ -137,146 +137,124 @@ type cellValue struct {
 }
 
 // idxCell carries a cell through the engine together with its position
-// in the full matrix, so a resumed sweep — which only schedules the
-// unfinished remainder — still reports original matrix indices.
+// in the full matrix, so a resumed sweep or a shard — which only
+// schedule part of the matrix — still reports original matrix indices.
+// The cluster coordinator also fills in key when it plans the cell.
 type idxCell struct {
 	idx  int
 	cell sweep.Cell
+	key  string
 }
 
 // errCellInvalid marks a cell that failed validation (unknown workload,
 // arch, or mechanism spec) rather than execution.
 var errCellInvalid = errors.New("invalid sweep cell")
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if s.draining.Load() {
-		s.setRetryAfter(w)
-		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	var req SweepRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// decodeSweep decodes a sweep-shaped request body into v, rejecting
+// unknown fields, and validates req, the SweepRequest that v is or
+// carries. It returns the matrix to expand, which holds at most maxCells
+// cells.
+func decodeSweep(body io.Reader, v any, req *SweepRequest, maxCells int) (sweep.Matrix, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
-		return
+	if err := dec.Decode(v); err != nil {
+		return sweep.Matrix{}, fmt.Errorf("decoding request: %w", err)
 	}
 	if len(req.Workloads) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "workloads must be non-empty")
-		return
+		return sweep.Matrix{}, errors.New("workloads must be non-empty")
 	}
 	for _, sc := range req.Scales {
 		if sc < 0 {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				fmt.Sprintf("negative scale %d", sc))
-			return
+			return sweep.Matrix{}, fmt.Errorf("negative scale %d", sc)
 		}
 	}
 	m := req.matrix()
-	if n := m.Size(); n > s.cfg.MaxSweepCells {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-			fmt.Sprintf("sweep expands to %d cells, limit %d", n, s.cfg.MaxSweepCells))
-		return
+	// Multiply one dimension at a time: each is at least 1, so stopping
+	// once past the cap keeps the product from overflowing into a small
+	// size that would pass it (2^16 entries in each of the four lists
+	// fit in a 1 MB body and multiply to 2^64).
+	n := 1
+	for _, d := range []int{len(m.Workloads), len(m.Archs), len(m.Mechs), max(len(m.Scales), 1)} {
+		if n *= d; n > maxCells {
+			return sweep.Matrix{}, fmt.Errorf("sweep expands to more than the %d-cell limit", maxCells)
+		}
 	}
-	cells := m.Cells()
+	return m, nil
+}
 
-	// Checkpointing: ?resume=<id> overrides (or supplies) the body ID; an
-	// ID binds this sweep to a journal of completed cells so a broken
-	// connection can be resumed without re-executing finished work.
+// readSweep is the request half every sweep route shares: it refuses
+// new sweeps while draining, then decodes and validates the body into v
+// (whose sweep is req). On failure it has written the error response.
+func (s *Server) readSweep(w http.ResponseWriter, r *http.Request, v any, req *SweepRequest) (sweep.Matrix, bool) {
+	if s.draining.Load() {
+		s.setRetryAfter(w)
+		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		return sweep.Matrix{}, false
+	}
+	m, err := decodeSweep(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v, req, s.cfg.MaxSweepCells)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		return sweep.Matrix{}, false
+	}
+	return m, true
+}
+
+// openJournal binds a sweep to its checkpoint journal of completed
+// cells, so a broken connection can be resumed without re-executing
+// finished work. ?resume=<id> overrides (or supplies) the body ID; no ID
+// means no checkpoint and a nil journal. adopt, when set, runs on the
+// validated ID before the journal is read and reports whether to go on;
+// it writes its own error response. On failure the error response has
+// been written.
+func (s *Server) openJournal(w http.ResponseWriter, r *http.Request, req *SweepRequest, m sweep.Matrix, adopt func(id string) bool) (*sweepJournal, bool) {
 	if id := r.URL.Query().Get("resume"); id != "" {
 		req.ID = id
 	}
+	if req.ID == "" {
+		return nil, true
+	}
 	var jr *sweepJournal
-	if req.ID != "" {
-		if !validSweepID(req.ID) {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				"sweep id must be 1-64 chars of [A-Za-z0-9._-] starting with an alphanumeric")
-			return
-		}
-		if s.cfg.StoreDir == "" {
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				"sweep checkpointing requires an on-disk store")
-			return
-		}
-		var jerr error
-		jr, jerr = openSweepJournal(filepath.Join(s.cfg.StoreDir, "sweeps"),
-			req.ID, sweepDigest(m, req.Seed, req.Limit), s.cfg.Faults, s.journalError)
-		if jerr != nil {
-			// The only surfaced open error is a matrix mismatch — resuming
-			// someone else's journal would serve cells from the wrong
-			// experiment.
-			s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, jerr.Error())
-			return
-		}
+	var err error
+	switch {
+	case !validSweepID(req.ID):
+		err = errors.New("sweep id must be 1-64 chars of [A-Za-z0-9._-] starting with an alphanumeric")
+	case s.cfg.StoreDir == "":
+		err = errors.New("sweep checkpointing requires an on-disk store")
+	case adopt != nil && !adopt(req.ID):
+		return nil, false
+	default:
+		// The only surfaced open error is a matrix mismatch — resuming
+		// someone else's journal would serve cells from the wrong
+		// experiment.
+		jr, err = openSweepJournal(s.journalPath(req.ID), req.ID,
+			sweepDigest(m, req.Seed, req.Limit), s.cfg.Faults, s.journalError)
 	}
-
-	// Split the matrix into journaled cells replayable from the store and
-	// the remainder to execute. A journaled cell whose stored bytes are
-	// gone (evicted memory-only copy, quarantined entry) falls back to
-	// execution — the journal is an optimization, never an authority.
-	type replayedCell struct {
-		idx  int
-		data []byte
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		return nil, false
 	}
-	var replays []replayedCell
-	work := make([]idxCell, 0, len(cells))
-	for i, c := range cells {
-		if jr != nil {
-			if key, ok := jr.have[i]; ok {
-				if data, ok := s.store.Get(key); ok {
-					replays = append(replays, replayedCell{idx: i, data: data})
-					continue
-				}
-			}
-		}
-		work = append(work, idxCell{idx: i, cell: c})
+	return jr, true
+}
+
+// replay returns the stored bytes of a cell jr journaled as complete. A
+// journaled cell whose bytes are gone (evicted memory-only copy,
+// quarantined entry) is not replayable and falls back to execution —
+// the journal is an optimization, never an authority.
+func (s *Server) replay(jr *sweepJournal, idx int) ([]byte, bool) {
+	if jr == nil {
+		return nil, false
 	}
-
-	// Register with the drain machinery: a SIGTERM mid-sweep cancels
-	// this context, the engine stops scheduling, unfinished cells emit
-	// cancellation records, and the journal gets a final flush below —
-	// leaving a resumable checkpoint instead of an abandoned matrix.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	sweepID := s.registerSweep(cancel)
-	defer s.unregisterSweep(sweepID)
-
-	// Committed to streaming from here: request-level errors are over,
-	// everything else is a per-cell record on a 200.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	s.countRequest(r, http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) {
-		enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	key, ok := jr.have[idx]
+	if !ok {
+		return nil, false
 	}
-	emit(SweepStart{Type: "start", Total: len(cells), Resumed: len(replays)})
+	return s.store.Get(key)
+}
 
-	var done, errCount, canceled int
-	for _, rp := range replays {
-		c := cells[rp.idx]
-		emit(SweepCellRecord{
-			Type:     "cell",
-			Index:    rp.idx,
-			Workload: c.Workload,
-			Arch:     c.Arch,
-			Mech:     c.Mech,
-			Scale:    c.Scale,
-			Cached:   true,
-			Replayed: true,
-			Result:   rp.data,
-		})
-		done++
-		s.met.sweepCells.get(outcomeOK).Inc()
-		s.met.sweepReplayed.Inc()
-	}
-
+// newEngine returns the sweep engine every sweep route runs its cells
+// through: one worker per pool slot, queue-full and injected transient
+// errors retried.
+func (s *Server) newEngine(req *SweepRequest) *sweep.Engine[idxCell, cellValue] {
 	eng := &sweep.Engine[idxCell, cellValue]{
 		Workers: s.cfg.Workers,
 		Retries: sweepRetries,
@@ -284,20 +262,123 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return errors.Is(err, errQueueFull) || faultinject.IsTransient(err)
 		},
 		Exec: func(ctx context.Context, ic idxCell) (cellValue, error) {
-			return s.runCell(ctx, ic.cell, &req)
+			return s.runCell(ctx, ic.cell, req)
 		},
 	}
 	if s.cfg.Faults != nil {
 		eng.Faults = s.cfg.Faults
 	}
+	return eng
+}
 
-	// The engine emits from one goroutine; the handler loop interleaves
+// cellRecord is the stream record of one cell before its outcome is known.
+func cellRecord(ic idxCell) SweepCellRecord {
+	return SweepCellRecord{
+		Type:     "cell",
+		Index:    ic.idx,
+		Workload: ic.cell.Workload,
+		Arch:     ic.cell.Arch,
+		Mech:     ic.cell.Mech,
+		Scale:    ic.cell.Scale,
+	}
+}
+
+// cellOutcome maps a cell execution outcome to the (result, error)
+// pair of its stream record. Exactly one is set.
+func cellOutcome(err error, data []byte) (json.RawMessage, *ErrorInfo) {
+	switch {
+	case err == nil:
+		return data, nil
+	case errors.Is(err, context.Canceled):
+		return nil, &ErrorInfo{Code: CodeCanceled, Message: err.Error()}
+	case errors.Is(err, errCellInvalid):
+		return nil, &ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}
+	default:
+		_, code := mapError(err)
+		return nil, &ErrorInfo{Code: code, Message: err.Error()}
+	}
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req SweepRequest
+	m, ok := s.readSweep(w, r, &req, &req)
+	if !ok {
+		return
+	}
+	jr, ok := s.openJournal(w, r, &req, m, nil)
+	if !ok {
+		return
+	}
+	// Split the matrix into journaled cells replayable from the store and
+	// the remainder to execute.
+	cells := m.Cells()
+	var replays []SweepCellRecord
+	work := make([]idxCell, 0, len(cells))
+	for i, c := range cells {
+		ic := idxCell{idx: i, cell: c}
+		if data, ok := s.replay(jr, i); ok {
+			rec := cellRecord(ic)
+			rec.Cached, rec.Replayed, rec.Result = true, true, data
+			replays = append(replays, rec)
+			continue
+		}
+		work = append(work, ic)
+	}
+	s.streamSweep(w, r, &req, work, replays, jr, false)
+}
+
+// startStream commits the response to a 200 NDJSON stream and returns
+// the function that writes and flushes one record. Request-level errors
+// are over from here: everything else is a per-cell record.
+func (s *Server) startStream(w http.ResponseWriter, r *http.Request) func(v any) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	s.countRequest(r, http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	return func(v any) {
+		enc.Encode(v)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+// streamSweep is the response half of /v1/sweep and /v1/sweep/shard. It
+// streams the start record, then the journal replays, then one record
+// per work cell in completion order with heartbeats between, then the
+// done record. jr, when set, records every success and is removed once
+// every cell has succeeded. Shard streams attach each result's store
+// key.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, work []idxCell, replays []SweepCellRecord, jr *sweepJournal, shard bool) {
+	start := time.Now()
+	total := len(replays) + len(work)
+	// Register with the drain machinery: a SIGTERM mid-sweep cancels
+	// this context, the engine stops scheduling, unfinished cells emit
+	// cancellation records (which a coordinator reassigns), and the
+	// journal gets a final flush below — leaving a resumable checkpoint
+	// instead of an abandoned matrix.
+	ctx, cancel := context.WithCancelCause(r.Context())
+	defer cancel(nil)
+	defer s.unregisterSweep(s.registerSweep(cancel))
+
+	emit := s.startStream(w, r)
+	emit(SweepStart{Type: "start", Total: total, Resumed: len(replays)})
+
+	done, errCount, canceled := len(replays), 0, 0
+	for _, rec := range replays {
+		emit(rec)
+		s.met.sweepCells.get(outcomeOK).Inc()
+		s.met.sweepReplayed.Inc()
+	}
+
+	// The engine emits from one goroutine; the loop below interleaves
 	// its outcomes with heartbeat ticks and owns all writes to w (and all
 	// journal updates).
 	outcomes := make(chan sweep.Outcome[idxCell, cellValue])
 	streamErr := make(chan error, 1)
 	go func() {
-		streamErr <- eng.Stream(ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
+		streamErr <- s.newEngine(req).Stream(ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
 			outcomes <- o
 		})
 		close(outcomes)
@@ -312,47 +393,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				outcomes = nil
 				continue
 			}
-			rec := SweepCellRecord{
-				Type:      "cell",
-				Index:     o.Item.idx,
-				Workload:  o.Item.cell.Workload,
-				Arch:      o.Item.cell.Arch,
-				Mech:      o.Item.cell.Mech,
-				Scale:     o.Item.cell.Scale,
-				Cached:    o.Result.cached,
-				Attempts:  o.Attempts,
-				ElapsedMS: float64(o.Elapsed.Microseconds()) / 1000,
+			rec := cellRecord(o.Item)
+			rec.Cached = o.Result.cached
+			rec.Attempts = o.Attempts
+			rec.ElapsedMS = float64(o.Elapsed.Microseconds()) / 1000
+			rec.Result, rec.Error = cellOutcome(o.Err, o.Result.data)
+			if shard {
+				rec.Key = o.Result.key
 			}
 			switch {
 			case o.Err == nil:
-				rec.Result = o.Result.data
 				done++
 				s.met.sweepCells.get(outcomeOK).Inc()
 				if jr != nil {
 					jr.record(o.Item.idx, o.Result.key)
 				}
 			case errors.Is(o.Err, context.Canceled):
-				rec.Error = &ErrorInfo{Code: CodeCanceled, Message: o.Err.Error()}
 				canceled++
 				s.met.sweepCells.get(outcomeCanceled).Inc()
-			case errors.Is(o.Err, errCellInvalid):
-				rec.Error = &ErrorInfo{Code: CodeInvalidArgument, Message: o.Err.Error()}
-				errCount++
-				s.met.sweepCells.get(outcomeError).Inc()
 			default:
-				_, code := mapError(o.Err)
-				rec.Error = &ErrorInfo{Code: code, Message: o.Err.Error()}
 				errCount++
 				s.met.sweepCells.get(outcomeError).Inc()
 			}
 			emit(rec)
 		case <-heartbeat.C:
-			emit(SweepProgress{Type: "progress", Done: done, Errors: errCount, Total: len(cells)})
+			emit(SweepProgress{Type: "progress", Done: done, Errors: errCount, Total: total})
 		}
 	}
 	err := <-streamErr
 	if jr != nil {
-		if done == len(cells) {
+		if done == total {
 			// Every cell succeeded: the checkpoint has served its purpose.
 			// A sweep with errors keeps its journal, so a retry under the
 			// same ID replays the successes and re-attempts only the errors.
@@ -370,12 +440,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Errors:    errCount,
 		Canceled:  canceled,
 		Replayed:  len(replays),
-		Total:     len(cells),
+		Total:     total,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
 	s.met.sweepsTotal.get(outcomeLabel(err)).Inc()
-	s.cfg.Log.Printf("sweep %d cells: done=%d errors=%d canceled=%d replayed=%d elapsed=%s",
-		len(cells), done, errCount, canceled, len(replays), time.Since(start).Round(time.Millisecond))
+	what := "sweep"
+	if shard {
+		what = "sweep shard"
+	}
+	s.cfg.Log.Printf("%s %d cells: done=%d errors=%d canceled=%d replayed=%d elapsed=%s",
+		what, total, done, errCount, canceled, len(replays), time.Since(start).Round(time.Millisecond))
 }
 
 // journalError counts and logs a best-effort journal failure.
@@ -384,26 +458,27 @@ func (s *Server) journalError(err error) {
 	s.cfg.Log.Printf("sweep journal: %v", err)
 }
 
-// prepareCell validates one cell and builds its run request and
-// compiled image (memoized across cells sharing workload|scale). It is
-// shared by cell execution and by the cluster coordinator's planning
-// pass, so both derive identical content-store keys.
-func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepRequest) (*RunRequest, *program.Image, error) {
+// prepareCell validates one cell and builds its run request, its
+// compiled image (memoized across cells sharing workload|scale) and its
+// content-store key. It is shared by cell execution and by the cluster
+// coordinator's planning pass, so both derive identical keys. An invalid
+// cell reports errCellInvalid.
+func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepRequest) (string, *RunRequest, *program.Image, error) {
 	spec, err := workload.Get(c.Workload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
+		return "", nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
 	}
 	if _, err := hostarch.ByName(c.Arch); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
+		return "", nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
 	}
 	if _, err := ib.Parse(c.Mech); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
+		return "", nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
 	}
 	img, _, err := s.images.Do(ctx, fmt.Sprintf("%s|%d", c.Workload, c.Scale), func() (*program.Image, error) {
 		return spec.Image(c.Scale)
 	})
 	if err != nil {
-		return nil, nil, err
+		return "", nil, nil, err
 	}
 	rr := &RunRequest{
 		Name:  c.Workload,
@@ -413,7 +488,9 @@ func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepReques
 		Seed:  req.Seed,
 		Limit: req.Limit,
 	}
-	return rr, img, nil
+	// Scale participates in the key through the image bytes themselves:
+	// a different scale assembles to a different image.
+	return rr.key(img), rr, img, nil
 }
 
 // runCell executes one cell through the same content-addressed store tier
@@ -421,13 +498,10 @@ func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepReques
 // so a sweep cell and a direct submission of the same program share one
 // cache entry, and duplicate cells across concurrent sweeps single-flight.
 func (s *Server) runCell(ctx context.Context, c sweep.Cell, req *SweepRequest) (cellValue, error) {
-	rr, img, err := s.prepareCell(ctx, c, req)
+	key, rr, img, err := s.prepareCell(ctx, c, req)
 	if err != nil {
 		return cellValue{}, err
 	}
-	// Scale participates in the key through the image bytes themselves:
-	// a different scale assembles to a different image.
-	key := rr.key(img)
 
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {

@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
 
 	"sdt/internal/workload"
@@ -24,13 +28,13 @@ func mustWorkload(t *testing.T, name string) *workload.Spec {
 // sweepRecord is the union of every NDJSON record type, for decoding a
 // stream line by line in tests.
 type sweepRecord struct {
-	Type      string          `json:"type"`
-	Index     int             `json:"index"`
-	Workload  string          `json:"workload"`
-	Arch      string          `json:"arch"`
-	Mech      string          `json:"mech"`
-	Scale     int             `json:"scale"`
-	Cached    bool            `json:"cached"`
+	Type     string `json:"type"`
+	Index    int    `json:"index"`
+	Workload string `json:"workload"`
+	Arch     string `json:"arch"`
+	Mech     string `json:"mech"`
+	Scale    int    `json:"scale"`
+	Cached   bool   `json:"cached"`
 	// Replayed is bool on cell records and int on the done record; any
 	// absorbs both shapes.
 	Replayed  any             `json:"replayed"`
@@ -313,25 +317,223 @@ func TestSweepClientDisconnectCancels(t *testing.T) {
 	}
 }
 
+// badSweepCap is the MaxSweepCells that badSweeps are refused under.
+const badSweepCap = 3
+
+// badSweeps are sweep bodies that every sweep route must refuse with a
+// 400 before it starts streaming.
+var badSweeps = []struct{ name, body string }{
+	{"empty workloads", `{"mechs":["ibtc:1024"]}`},
+	{"negative scale", `{"workloads":["gzip"],"scales":[-1]}`},
+	{"cell cap", `{"workloads":["gzip","vpr"],"mechs":["a","b"]}`},
+	{"cell cap overflow", overflowSweep()},
+	{"unknown field", `{"workloads":["gzip"],"bogus":1}`},
+	{"malformed JSON", `{"workloads":["gzip"]`},
+	{"bad id", `{"workloads":["gzip"],"id":"../escape"}`},
+}
+
+// overflowSweep is a matrix of 2^16 entries per dimension: 2^64 cells,
+// which wraps to 0 in a plain product of the dimension sizes.
+func overflowSweep() string {
+	list := "[" + strings.Repeat(`"",`, 1<<16-1) + `""]`
+	scales := "[" + strings.Repeat("0,", 1<<16-1) + "0]"
+	return fmt.Sprintf(`{"workloads":%s,"archs":%s,"mechs":%s,"scales":%s}`, list, list, list, scales)
+}
+
+// All three sweep routes share one decoder and its validation: each bad
+// body is refused by each route, the shard's wrapped in a shard request.
 func TestSweepBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSweepCells: 3})
-	cases := []struct {
-		name string
-		req  SweepRequest
+	_, ts := newTestServer(t, Config{MaxSweepCells: badSweepCap, StoreDir: t.TempDir()})
+	routes := []struct {
+		path string
+		wrap func(body string) string
 	}{
-		{"empty workloads", SweepRequest{Mechs: []string{"ibtc:1024"}}},
-		{"negative scale", SweepRequest{Workloads: []string{"gzip"}, Scales: []int{-1}}},
-		{"cell cap", SweepRequest{Workloads: []string{"gzip", "vpr"}, Mechs: []string{"a", "b"}}},
+		{"/v1/sweep", func(body string) string { return body }},
+		{"/v1/sweep/shard", func(body string) string { return `{"sweep":` + body + `,"cells":[0]}` }},
+		{"/v1/cluster/sweep", func(body string) string { return body }},
 	}
-	for _, tc := range cases {
-		body, _ := json.Marshal(tc.req)
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for _, rt := range routes {
+		for _, tc := range badSweeps {
+			resp, err := http.Post(ts.URL+rt.path, "application/json", strings.NewReader(rt.wrap(tc.body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400", rt.path, tc.name, resp.StatusCode)
+				continue
+			}
+			if e := decodeError(t, data); e.Code != CodeInvalidRequest {
+				t.Errorf("%s %s: code = %q, want %q", rt.path, tc.name, e.Code, CodeInvalidRequest)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+	}
+}
+
+// FuzzDecodeSweep feeds arbitrary bodies to the decoder every sweep
+// route shares. It must never panic, and a body it accepts must name a
+// workload, carry no negative scale and expand to at most the cap.
+func FuzzDecodeSweep(f *testing.F) {
+	for _, tc := range badSweeps {
+		// The overflow body is too large to mutate: the fuzzer stalls
+		// minimizing its offspring. TestSweepBadRequests covers it.
+		if len(tc.body) < 1<<10 {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add([]byte(`{"workloads":["gzip"],"mechs":["ibtc:256","sieve:64"],"scales":[0],"seed":1,"limit":9}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SweepRequest
+		m, err := decodeSweep(bytes.NewReader(body), &req, &req, badSweepCap)
+		if err != nil {
+			return
+		}
+		if len(req.Workloads) == 0 {
+			t.Fatalf("accepted %.80q with no workloads", body)
+		}
+		for _, sc := range req.Scales {
+			if sc < 0 {
+				t.Fatalf("accepted %.80q with scale %d", body, sc)
+			}
+		}
+		// Bound each dimension first so Size cannot overflow here.
+		for _, n := range []int{len(m.Workloads), len(m.Archs), len(m.Mechs), len(m.Scales)} {
+			if n > badSweepCap {
+				t.Fatalf("accepted %.80q with a %d-entry dimension", body, n)
+			}
+		}
+		if n := m.Size(); n > badSweepCap {
+			t.Fatalf("accepted %.80q expanding to %d cells", body, n)
+		}
+	})
+}
+
+// postLines posts a JSON body and returns the status and the non-empty
+// lines of the response.
+func postLines(t *testing.T, url string, body any) (int, [][]byte) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines [][]byte
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+			lines = append(lines, append([]byte(nil), line...))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, lines
+}
+
+// Every record of every sweep route has an exact key set, pinned per
+// route: only shard cell records carry "key" (the coordinator journals
+// it), the cluster stream never carries "cached", "attempts" or
+// "elapsed_ms" (it is canonical), and only /v1/sweep carries "replayed".
+func TestSweepRecordShapes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, StoreDir: t.TempDir()})
+	// Cell 0 succeeds and cell 1 is invalid, so a checkpointed sweep
+	// keeps its journal and the second run replays cell 0.
+	req := SweepRequest{
+		Workloads: []string{"gzip", "nosuchworkload"},
+		Mechs:     []string{"ibtc:256"},
+		Limit:     20_000_000,
+	}
+	const (
+		ok       = "arch,attempts,elapsed_ms,index,mech,result,type,workload"
+		invalid  = "arch,attempts,elapsed_ms,error,index,mech,type,workload"
+		done     = "canceled,done,elapsed_ms,errors,total,type"
+		progress = "done,errors,total,type"
+	)
+	checkpointed := req
+	checkpointed.ID = "shapes"
+	clusterCheckpointed := req
+	clusterCheckpointed.ID = "cluster-shapes"
+	steps := []struct {
+		name, path string
+		body       any
+		want       map[string]string // "start", "cell/<index>", "done", "progress" -> sorted keys
+	}{
+		{"sweep", "/v1/sweep", checkpointed, map[string]string{
+			"start":  "total,type",
+			"cell/0": ok,
+			"cell/1": invalid,
+			"done":   done,
+		}},
+		{"sweep resumed", "/v1/sweep", checkpointed, map[string]string{
+			"start":  "resumed,total,type",
+			"cell/0": "arch,attempts,cached,elapsed_ms,index,mech,replayed,result,type,workload",
+			"cell/1": invalid,
+			"done":   "canceled,done,elapsed_ms,errors,replayed,total,type",
+		}},
+		{"shard", "/v1/sweep/shard", ShardRequest{Sweep: req, Cells: []int{0, 1}}, map[string]string{
+			"start":  "total,type",
+			"cell/0": "arch,attempts,cached,elapsed_ms,index,key,mech,result,type,workload",
+			"cell/1": invalid,
+			"done":   done,
+		}},
+		{"cluster", "/v1/cluster/sweep", clusterCheckpointed, map[string]string{
+			"start":  "total,type",
+			"cell/0": "arch,index,mech,result,type,workload",
+			"cell/1": "arch,error,index,mech,type,workload",
+			"done":   "done,errors,total,type",
+		}},
+		{"cluster resumed", "/v1/cluster/sweep", clusterCheckpointed, map[string]string{
+			"start":  "resumed,total,type",
+			"cell/0": "arch,index,mech,result,type,workload",
+			"cell/1": "arch,error,index,mech,type,workload",
+			"done":   "done,errors,total,type",
+		}},
+	}
+	for _, st := range steps {
+		status, lines := postLines(t, ts.URL+st.path, st.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", st.name, status, bytes.Join(lines, nil))
+		}
+		seen := map[string]bool{}
+		for _, line := range lines {
+			var rec map[string]json.RawMessage
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("%s: decoding %q: %v", st.name, line, err)
+			}
+			var typ string
+			json.Unmarshal(rec["type"], &typ)
+			label := typ
+			if typ == "cell" {
+				label = "cell/" + string(rec["index"])
+			}
+			keys := make([]string, 0, len(rec))
+			for k := range rec {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			want, known := st.want[label]
+			if typ == "progress" {
+				want, known = progress, true
+			}
+			if !known {
+				t.Errorf("%s: unexpected record %s", st.name, line)
+				continue
+			}
+			if got := strings.Join(keys, ","); got != want {
+				t.Errorf("%s: %s keys = %s, want %s", st.name, label, got, want)
+			}
+			seen[label] = true
+		}
+		for label := range st.want {
+			if !seen[label] {
+				t.Errorf("%s: no %s record", st.name, label)
+			}
 		}
 	}
 }

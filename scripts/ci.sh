@@ -54,6 +54,7 @@ fuzz ./internal/asm     FuzzAssemble
 fuzz ./internal/minic   FuzzCompile
 fuzz ./internal/oracle  FuzzDifferential
 fuzz ./internal/oracle  FuzzMinimize
+fuzz ./internal/service FuzzDecodeSweep
 
 echo "==> bench smoke"
 go test -run='^$' -bench=. -benchtime=1x ./...
