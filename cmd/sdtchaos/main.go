@@ -40,7 +40,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -48,17 +47,14 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
-	"sync"
 	"time"
 
 	"sdt/internal/cluster"
+	"sdt/internal/sdtdtest"
 	"sdt/internal/service"
 )
 
@@ -126,11 +122,8 @@ func run(bin string, seed uint64) error {
 	defer os.RemoveAll(tmp)
 
 	if bin == "" {
-		bin = filepath.Join(tmp, "sdtd")
-		build := exec.Command("go", "build", "-o", bin, "sdt/cmd/sdtd")
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building sdtd: %w", err)
+		if bin, err = sdtdtest.Build(tmp); err != nil {
+			return err
 		}
 	}
 
@@ -165,26 +158,26 @@ type golden struct {
 }
 
 func phaseGolden(bin, tmp string) (*golden, error) {
-	d, err := startDaemon(bin, filepath.Join(tmp, "golden"))
+	d, err := start(bin, filepath.Join(tmp, "golden"))
 	if err != nil {
 		return nil, err
 	}
-	defer d.kill()
+	defer d.Kill()
 
 	g := &golden{cells: map[int][]byte{}}
 	for i, req := range chaosRuns {
-		data, err := d.runOnce(req)
+		resp, err := d.Submit(req)
 		if err != nil {
 			return nil, fmt.Errorf("run %d: %w", i, err)
 		}
 		var res service.RunResult
-		if err := json.Unmarshal(data, &res); err != nil {
+		if err := json.Unmarshal(resp.Result, &res); err != nil {
 			return nil, fmt.Errorf("run %d result: %w", i, err)
 		}
-		g.runs = append(g.runs, data)
+		g.runs = append(g.runs, resp.Result)
 		g.keys = append(g.keys, res.Key)
 	}
-	recs, _, err := d.stream("/v1/sweep", chaosSweep)
+	recs, _, err := d.Stream("/v1/sweep", chaosSweep, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -215,15 +208,15 @@ func phaseStorm(bin, tmp string, seed uint64, g *golden) error {
 		`{"site":"service.job","class":"panic","every":3,"limit":4},`+
 		`{"site":"sweep.cell","class":"transient","prob":0.35,"limit":20},`+
 		`{"site":"service.sweep.journal","class":"io","every":2,"limit":6}]}`, seed)
-	d, err := startDaemon(bin, filepath.Join(tmp, "storm"),
+	d, err := start(bin, filepath.Join(tmp, "storm"),
 		"-fault-plan", plan, "-allow-faults", "-breaker-cooldown", "50ms")
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
 	for i, req := range chaosRuns {
-		data, err := d.runRetry(req, 15)
+		data, err := runRetry(d, req, 15)
 		if err != nil {
 			return fmt.Errorf("run %d never succeeded: %w", i, err)
 		}
@@ -239,7 +232,7 @@ func phaseStorm(bin, tmp string, seed uint64, g *golden) error {
 	want := chaosSweepCells
 	sweepDone := false
 	for attempt := 0; attempt < 8 && !sweepDone; attempt++ {
-		recs, _, err := d.stream("/v1/sweep", withID(chaosSweep, "storm"))
+		recs, _, err := d.Stream("/v1/sweep", withID(chaosSweep, "storm"), nil)
 		if err != nil {
 			return err
 		}
@@ -261,22 +254,24 @@ func phaseStorm(bin, tmp string, seed uint64, g *golden) error {
 	log.Printf("storm sweep OK (%d cells byte-identical)", want)
 
 	// The storm must actually have happened, and the daemon survived it.
-	panics, err := d.counterValue("sdtd_job_panics_total")
+	panics, err := d.Metric("sdtd_job_panics_total")
 	if err != nil {
 		return err
 	}
 	if panics == 0 {
 		return errors.New("panic faults were planned but sdtd_job_panics_total is 0")
 	}
-	injected, err := d.counterSum("sdtd_faults_injected_total{")
+	injected, err := d.MetricSum("sdtd_faults_injected_total{")
 	if err != nil {
 		return err
 	}
 	if injected == 0 {
 		return errors.New("sdtd_faults_injected_total shows no injections")
 	}
-	if err := d.checkHealthStatus(http.StatusOK); err != nil {
-		return err
+	if status, _, err := d.Health(); err != nil {
+		return fmt.Errorf("daemon unreachable after storm: %w", err)
+	} else if status != http.StatusOK {
+		return fmt.Errorf("healthz = %d, want %d", status, http.StatusOK)
 	}
 	log.Printf("storm survived OK (%d faults injected, %d panics recovered)", injected, panics)
 	return nil
@@ -286,15 +281,15 @@ func phaseStorm(bin, tmp string, seed uint64, g *golden) error {
 // quarantine + read-repair.
 func phaseCorruption(bin, tmp string, g *golden) error {
 	dir := filepath.Join(tmp, "corrupt")
-	d, err := startDaemon(bin, dir)
+	d, err := start(bin, dir)
 	if err != nil {
 		return err
 	}
-	if _, err := d.runOnce(chaosRuns[0]); err != nil {
-		d.kill()
+	if _, err := d.Submit(chaosRuns[0]); err != nil {
+		d.Kill()
 		return err
 	}
-	d.kill() // stored entries are durable before the response is sent
+	d.Kill() // stored entries are durable before the response is sent
 
 	key := g.keys[0]
 	path := filepath.Join(dir, key[:2], key)
@@ -307,19 +302,19 @@ func phaseCorruption(bin, tmp string, g *golden) error {
 		return err
 	}
 
-	d, err = startDaemon(bin, dir)
+	d, err = start(bin, dir)
 	if err != nil {
 		return err
 	}
-	defer d.kill()
-	data, err := d.runOnce(chaosRuns[0])
+	defer d.Kill()
+	resp, err := d.Submit(chaosRuns[0])
 	if err != nil {
 		return fmt.Errorf("run over corrupt entry: %w", err)
 	}
-	if !bytes.Equal(data, g.runs[0]) {
+	if !bytes.Equal(resp.Result, g.runs[0]) {
 		return errors.New("recomputed result differs from golden bytes")
 	}
-	corruptions, err := d.counterValue("sdtd_store_corruption_total")
+	corruptions, err := d.Metric("sdtd_store_corruption_total")
 	if err != nil {
 		return err
 	}
@@ -342,13 +337,13 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 	dir := filepath.Join(tmp, "resume")
 	plan := fmt.Sprintf(`{"seed":%d,"points":[`+
 		`{"site":"sweep.cell","class":"permanent","every":1,"after":2}]}`, seed)
-	d, err := startDaemon(bin, dir, "-fault-plan", plan, "-allow-faults", "-workers", "1")
+	d, err := start(bin, dir, "-fault-plan", plan, "-allow-faults", "-workers", "1")
 	if err != nil {
 		return err
 	}
-	recs, _, err := d.stream("/v1/sweep", withID(chaosSweep, "resume"))
+	recs, _, err := d.Stream("/v1/sweep", withID(chaosSweep, "resume"), nil)
 	if err != nil {
-		d.kill()
+		d.Kill()
 		return err
 	}
 	okCells := 0
@@ -357,7 +352,7 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 			okCells++
 		}
 	}
-	d.kill() // hard kill: the journal must already be durable
+	d.Kill() // hard kill: the journal must already be durable
 
 	// The journal on disk knows exactly which cells completed.
 	jraw, err := os.ReadFile(filepath.Join(dir, "sweeps", "resume.json"))
@@ -379,16 +374,16 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 	total := chaosSweepCells
 	log.Printf("killed mid-sweep with %d/%d cells journaled", okCells, total)
 
-	d, err = startDaemon(bin, dir, "-workers", "1")
+	d, err = start(bin, dir, "-workers", "1")
 	if err != nil {
 		return err
 	}
-	defer d.kill()
-	runsBefore, err := d.counterSum("sdtd_runs_total{")
+	defer d.Kill()
+	runsBefore, err := d.MetricSum("sdtd_runs_total{")
 	if err != nil {
 		return err
 	}
-	recs, _, err = d.stream("/v1/sweep", withID(chaosSweep, "resume"))
+	recs, _, err = d.Stream("/v1/sweep", withID(chaosSweep, "resume"), nil)
 	if err != nil {
 		return err
 	}
@@ -415,7 +410,7 @@ func phaseResume(bin, tmp string, seed uint64, g *golden) error {
 	if done != total || replayed != okCells {
 		return fmt.Errorf("resume: done=%d replayed=%d, want %d/%d", done, replayed, total, okCells)
 	}
-	runsAfter, err := d.counterSum("sdtd_runs_total{")
+	runsAfter, err := d.MetricSum("sdtd_runs_total{")
 	if err != nil {
 		return err
 	}
@@ -450,18 +445,18 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// Golden pass: the same matrix through /v1/cluster/sweep on a lone
 	// uncluttered daemon (it degenerates to one local shard), plus a
 	// shard call to learn each cell's content-store key.
-	gd, err := startDaemon(bin, filepath.Join(tmp, "cluster-golden"))
+	gd, err := start(bin, filepath.Join(tmp, "cluster-golden"))
 	if err != nil {
 		return nil, nil, err
 	}
-	recs, goldenStream, err := gd.stream("/v1/cluster/sweep", clusterChaosSweep)
+	recs, goldenStream, err := gd.Stream("/v1/cluster/sweep", clusterChaosSweep, nil)
 	if err != nil {
-		gd.kill()
+		gd.Kill()
 		return nil, nil, fmt.Errorf("golden cluster sweep: %w", err)
 	}
 	for _, rec := range recs {
 		if rec.Type == "cell" && rec.Error != nil {
-			gd.kill()
+			gd.Kill()
 			return nil, nil, fmt.Errorf("golden cell %d failed: %+v", rec.Index, rec.Error)
 		}
 	}
@@ -470,8 +465,8 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	for i := range shardCells {
 		shardCells[i] = i
 	}
-	srecs, _, err := gd.stream("/v1/sweep/shard", service.ShardRequest{Sweep: clusterChaosSweep, Cells: shardCells})
-	gd.kill()
+	srecs, _, err := gd.Stream("/v1/sweep/shard", service.ShardRequest{Sweep: clusterChaosSweep, Cells: shardCells}, nil)
+	gd.Kill()
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden shard: %w", err)
 	}
@@ -486,7 +481,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// the ring to learn which node owns which cell. The victim is the
 	// non-coordinator owning the most cells: killing it mid-shard is
 	// guaranteed to strand unfinished work.
-	urls, err := reservePorts(3)
+	urls, err := sdtdtest.ReservePorts(3)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -510,14 +505,14 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// kill lands mid-cell deterministically.
 	plan := fmt.Sprintf(`{"seed":%d,"points":[{"site":"sweep.cell","class":"latency","every":1,"latency_ms":300}]}`, seed)
 	peersArg := strings.Join(urls, ",")
-	nodes := make([]*daemon, 3)
+	nodes := make([]*sdtdtest.Daemon, 3)
 	for i := range nodes {
 		args := []string{"-addr", memberName(urls[i]), "-peers", peersArg, "-self", urls[i],
 			"-peer-probe", "150ms", "-replication", "2"}
 		if i == victim {
 			args = append(args, "-workers", "1", "-fault-plan", plan, "-allow-faults")
 		}
-		nodes[i], err = startDaemon(bin, filepath.Join(tmp, fmt.Sprintf("cluster-%d", i)), args...)
+		nodes[i], err = start(bin, filepath.Join(tmp, fmt.Sprintf("cluster-%d", i)), args...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -525,7 +520,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	defer func() {
 		for _, d := range nodes {
 			if d != nil {
-				d.kill()
+				d.Kill()
 			}
 		}
 	}()
@@ -534,18 +529,18 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// first success, so the membership converges on its own shortly after
 	// the last peer starts listening; this wait just confirms convergence
 	// before the sweep is sharded.
-	if err := nodes[0].waitClusterUp(3, 10*time.Second); err != nil {
+	if err := sdtdtest.WaitRing(nodes[:1], 0, 3, 10*time.Second); err != nil {
 		return nil, nil, err
 	}
 
 	type streamResult struct {
 		canonical []byte
-		recs      []chaosRec
+		recs      []sdtdtest.Record
 		err       error
 	}
 	res := make(chan streamResult, 1)
 	go func() {
-		recs, canonical, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"))
+		recs, canonical, err := nodes[0].Stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"), nil)
 		res <- streamResult{canonical, recs, err}
 	}()
 
@@ -555,17 +550,17 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// kill loses no data. With one worker and 300ms injected latency the
 	// victim is necessarily mid-way through its next cell.
 	quiesced := func() bool {
-		vruns, err := nodes[victim].counterSum("sdtd_runs_total{")
+		vruns, err := nodes[victim].MetricSum("sdtd_runs_total{")
 		if err != nil || vruns < 1 {
 			return false
 		}
 		runs, recv := 0, 0
 		for _, d := range nodes {
-			r, err := d.counterSum("sdtd_runs_total{")
+			r, err := d.MetricSum("sdtd_runs_total{")
 			if err != nil {
 				return false
 			}
-			v, err := d.counterValue("sdtd_replication_received_total")
+			v, err := d.Metric("sdtd_replication_received_total")
 			if err != nil {
 				return false
 			}
@@ -593,7 +588,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	nodes[victim].kill()
+	nodes[victim].Kill()
 	log.Printf("cluster: killed %s mid-shard after replication quiesced (%d cells owned)",
 		memberName(urls[victim]), owned[memberName(urls[victim])])
 
@@ -609,7 +604,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	if !bytes.Equal(r.canonical, goldenStream) {
 		return nil, nil, fmt.Errorf("merged 3-node stream differs from single-node golden through a kill:\n--- golden\n%s--- merged\n%s", goldenStream, r.canonical)
 	}
-	reassigned, err := nodes[0].counterValue("sdtd_cluster_sweep_reassigned_cells_total")
+	reassigned, err := nodes[0].Metric("sdtd_cluster_sweep_reassigned_cells_total")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -622,36 +617,28 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 	// pre-kill results live on ring replicas, post-kill results live on
 	// their surviving executors, so the follow-up sweep executes zero
 	// cells fleet-wide.
-	survivorRuns := 0
-	for _, i := range []int{0, 1, 2} {
-		if i == victim {
-			continue
+	var survivors []*sdtdtest.Daemon
+	for i, d := range nodes {
+		if i != victim {
+			survivors = append(survivors, d)
 		}
-		n, err := nodes[i].counterSum("sdtd_runs_total{")
-		if err != nil {
-			return nil, nil, err
-		}
-		survivorRuns += n
 	}
-	_, canonical2, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"))
+	survivorRuns, err := fleetRuns(survivors)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, canonical2, err := nodes[0].Stream("/v1/cluster/sweep", withID(clusterChaosSweep, "cluster"), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("follow-up sweep: %w", err)
 	}
 	if !bytes.Equal(canonical2, goldenStream) {
 		return nil, nil, errors.New("follow-up sweep stream differs from golden")
 	}
-	rerun := -survivorRuns
-	for _, i := range []int{0, 1, 2} {
-		if i == victim {
-			continue
-		}
-		n, err := nodes[i].counterSum("sdtd_runs_total{")
-		if err != nil {
-			return nil, nil, err
-		}
-		rerun += n
+	survivorRunsAfter, err := fleetRuns(survivors)
+	if err != nil {
+		return nil, nil, err
 	}
-	if rerun != 0 {
+	if rerun := survivorRunsAfter - survivorRuns; rerun != 0 {
 		return nil, nil, fmt.Errorf("follow-up recomputed %d cells; with replication quiesced before the kill every result must survive", rerun)
 	}
 	log.Printf("cluster OK (0 recomputed: all %d results survived the kill on replicas)", total)
@@ -663,7 +650,7 @@ func phaseCluster(bin, tmp string, seed uint64) ([]byte, []string, error) {
 // checkpoint journal.
 func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string) error {
 	total := len(keys)
-	urls, err := reservePorts(3)
+	urls, err := sdtdtest.ReservePorts(3)
 	if err != nil {
 		return err
 	}
@@ -671,11 +658,11 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 	// matrix is reliably still in flight when the coordinator dies.
 	plan := fmt.Sprintf(`{"seed":%d,"points":[{"site":"sweep.cell","class":"latency","every":1,"latency_ms":300}]}`, seed)
 	peersArg := strings.Join(urls, ",")
-	nodes := make([]*daemon, 3)
+	nodes := make([]*sdtdtest.Daemon, 3)
 	dirs := make([]string, 3)
 	for i := range nodes {
 		dirs[i] = filepath.Join(tmp, fmt.Sprintf("adopt-%d", i))
-		nodes[i], err = startDaemon(bin, dirs[i],
+		nodes[i], err = start(bin, dirs[i],
 			"-addr", memberName(urls[i]), "-peers", peersArg, "-self", urls[i],
 			"-peer-probe", "150ms", "-replication", "2",
 			"-workers", "1", "-fault-plan", plan, "-allow-faults")
@@ -686,18 +673,18 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 	defer func() {
 		for _, d := range nodes {
 			if d != nil {
-				d.kill()
+				d.Kill()
 			}
 		}
 	}()
-	if err := nodes[0].waitClusterUp(3, 10*time.Second); err != nil {
+	if err := sdtdtest.WaitRing(nodes[:1], 0, 3, 10*time.Second); err != nil {
 		return err
 	}
 
 	res := make(chan error, 1)
 	go func() {
 		// The stream dies with the coordinator; the error is expected.
-		_, _, err := nodes[0].stream("/v1/cluster/sweep", withID(clusterChaosSweep, "adopt"))
+		_, _, err := nodes[0].Stream("/v1/cluster/sweep", withID(clusterChaosSweep, "adopt"), nil)
 		res <- err
 	}()
 
@@ -722,7 +709,7 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	nodes[0].kill()
+	nodes[0].Kill()
 	<-res
 	log.Printf("adopt: killed the coordinator %s mid-sweep", memberName(urls[0]))
 
@@ -742,20 +729,16 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 	}
 	expectRuns := 0
 	for _, key := range keys {
-		if !nodes[1].hasKey(key) && !nodes[2].hasKey(key) {
+		if !nodes[1].HasKey(key) && !nodes[2].HasKey(key) {
 			expectRuns++
 		}
 	}
-	runsBefore := 0
-	for _, d := range nodes[1:] {
-		n, err := d.counterSum("sdtd_runs_total{")
-		if err != nil {
-			return err
-		}
-		runsBefore += n
+	runsBefore, err := fleetRuns(nodes[1:])
+	if err != nil {
+		return err
 	}
 
-	recs, canonical, err := nodes[1].stream("/v1/cluster/sweep?adopt=adopt", withID(clusterChaosSweep, "adopt"))
+	recs, canonical, err := nodes[1].Stream("/v1/cluster/sweep?adopt=adopt", withID(clusterChaosSweep, "adopt"), nil)
 	if err != nil {
 		return fmt.Errorf("adoption sweep: %w", err)
 	}
@@ -782,18 +765,14 @@ func phaseAdopt(bin, tmp string, seed uint64, goldenStream []byte, keys []string
 	if resumed < 0 || resumed > len(journaled) {
 		return fmt.Errorf("adoption resumed %d cells, journal replica held %d", resumed, len(journaled))
 	}
-	runsAfter := 0
-	for _, d := range nodes[1:] {
-		n, err := d.counterSum("sdtd_runs_total{")
-		if err != nil {
-			return err
-		}
-		runsAfter += n
+	runsAfter, err := fleetRuns(nodes[1:])
+	if err != nil {
+		return err
 	}
 	if rerun := runsAfter - runsBefore; rerun != expectRuns {
 		return fmt.Errorf("adoption re-executed %d cells, want exactly the %d held by no survivor", rerun, expectRuns)
 	}
-	adopted, err := nodes[1].counterValue("sdtd_cluster_sweeps_adopted_total")
+	adopted, err := nodes[1].Metric("sdtd_cluster_sweeps_adopted_total")
 	if err != nil {
 		return err
 	}
@@ -829,7 +808,7 @@ func readJournalIndexes(path string) (map[int]bool, error) {
 // waitReplQuiet polls until every node's replication queue is empty and
 // its counters stop moving — in-flight fan-out has landed (or parked as
 // pending toward dead peers).
-func waitReplQuiet(nodes []*daemon, timeout time.Duration) error {
+func waitReplQuiet(nodes []*sdtdtest.Daemon, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	snapshot := func() (int, error) {
 		sum := 0
@@ -839,7 +818,7 @@ func waitReplQuiet(nodes []*daemon, timeout time.Duration) error {
 				"sdtd_replication_sent_total",
 				"sdtd_replication_failed_total",
 			} {
-				v, err := d.counterValue(series)
+				v, err := d.Metric(series)
 				if err != nil {
 					return 0, err
 				}
@@ -877,105 +856,19 @@ func afterFirstLine(stream []byte) []byte {
 	return nil
 }
 
-// reservePorts grabs n distinct loopback addresses and releases them, so
-// a static cluster membership can be written down before any daemon
-// starts.
-func reservePorts(n int) ([]string, error) {
-	lns := make([]net.Listener, 0, n)
-	urls := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns = append(lns, ln)
-		urls = append(urls, "http://"+ln.Addr().String())
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return urls, nil
-}
-
 func memberName(url string) string { return strings.TrimPrefix(url, "http://") }
 
-// ---- daemon plumbing ----
-
-var listenRE = regexp.MustCompile(`listening on (http://\S+)`)
-
-type daemon struct {
-	cmd    *exec.Cmd
-	base   string
-	done   chan error
-	killed sync.Once
-}
-
-func startDaemon(bin, storeDir string, extra ...string) (*daemon, error) {
-	args := append([]string{"-addr", "127.0.0.1:0", "-store", storeDir, "-q"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", bin, err)
-	}
-	d := &daemon{cmd: cmd, done: make(chan error, 1)}
-	addr := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if m := listenRE.FindStringSubmatch(sc.Text()); m != nil {
-				addr <- m[1]
-			}
-		}
-	}()
-	go func() { d.done <- cmd.Wait() }()
-	select {
-	case d.base = <-addr:
-		return d, nil
-	case err := <-d.done:
-		return nil, fmt.Errorf("sdtd exited before listening: %v", err)
-	case <-time.After(20 * time.Second):
-		d.kill()
-		return nil, errors.New("sdtd did not report a listen address in 20s")
-	}
-}
-
-// kill is idempotent: phase-5 SIGKILLs a node mid-scenario and the
-// deferred cleanup kills it again.
-func (d *daemon) kill() {
-	d.killed.Do(func() {
-		if d.cmd.Process != nil {
-			d.cmd.Process.Kill()
-			<-d.done
-		}
-	})
-}
-
-// runOnce submits one request and requires immediate success.
-func (d *daemon) runOnce(req service.RunRequest) ([]byte, error) {
-	status, body, err := d.post(req)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", status, body)
-	}
-	var resp service.RunResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
+// start boots a quiet sdtd child on dir; every phase's daemons run -q.
+func start(bin, dir string, extra ...string) (*sdtdtest.Daemon, error) {
+	return sdtdtest.Start(bin, dir, append([]string{"-q"}, extra...)...)
 }
 
 // runRetry submits one request, retrying server-side failures (the storm
 // injects them on purpose) up to attempts times.
-func (d *daemon) runRetry(req service.RunRequest, attempts int) ([]byte, error) {
+func runRetry(d *sdtdtest.Daemon, req service.RunRequest, attempts int) ([]byte, error) {
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		status, body, err := d.post(req)
+		status, body, err := d.Post(req)
 		switch {
 		case err != nil:
 			lastErr = err
@@ -996,183 +889,21 @@ func (d *daemon) runRetry(req service.RunRequest, attempts int) ([]byte, error) 
 	return nil, lastErr
 }
 
-func (d *daemon) post(req service.RunRequest) (int, []byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := http.Post(d.base+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data := new(bytes.Buffer)
-	if _, err := data.ReadFrom(resp.Body); err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, data.Bytes(), nil
-}
-
-// chaosRec is the union of the sweep NDJSON record shapes.
-type chaosRec struct {
-	Type    string `json:"type"`
-	Index   int    `json:"index"`
-	Resumed int    `json:"resumed"`
-	// Replayed is bool on cell records and int on the done record.
-	Replayed any                `json:"replayed"`
-	Key      string             `json:"key"`
-	Result   json.RawMessage    `json:"result"`
-	Error    *service.ErrorInfo `json:"error"`
-	Done     int                `json:"done"`
-	Errors   int                `json:"errors"`
-	Total    int                `json:"total"`
-}
-
 // withID returns req checkpointed under id ("" = not checkpointed).
 func withID(req service.SweepRequest, id string) service.SweepRequest {
 	req.ID = id
 	return req
 }
 
-// stream posts body to one of the sweep routes (path may carry a query)
-// and reads the whole NDJSON response: every record, plus the canonical
-// bytes — heartbeat progress records stripped, per docs/CLUSTER.md —
-// that deterministic streams are compared by.
-func (d *daemon) stream(path string, body any) ([]chaosRec, []byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := http.Post(d.base+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data := new(bytes.Buffer)
-		data.ReadFrom(resp.Body)
-		return nil, nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, data.Bytes())
-	}
-	var canonical bytes.Buffer
-	var recs []chaosRec
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec chaosRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, fmt.Errorf("decoding %s line %q: %w", path, line, err)
-		}
-		recs = append(recs, rec)
-		if rec.Type != "progress" {
-			canonical.Write(line)
-			canonical.WriteByte('\n')
-		}
-	}
-	return recs, canonical.Bytes(), sc.Err()
-}
-
-// hasKey reports whether this node serves the sealed result frame for a
-// content-store key from its own tiers.
-func (d *daemon) hasKey(key string) bool {
-	resp, err := http.Get(d.base + "/v1/peer/result/" + key)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	data := new(bytes.Buffer)
-	data.ReadFrom(resp.Body)
-	return resp.StatusCode == http.StatusOK
-}
-
-// counterValue scrapes one exact metric series (0 if absent).
-func (d *daemon) counterValue(series string) (int, error) {
-	return d.scrape(func(line string) (int, bool) {
-		if strings.HasPrefix(line, series+" ") {
-			var v int
-			fmt.Sscanf(line[len(series)+1:], "%d", &v)
-			return v, true
-		}
-		return 0, false
-	})
-}
-
-// counterSum sums every series whose name starts with prefix (e.g. all
-// outcome labels of one counter family).
-func (d *daemon) counterSum(prefix string) (int, error) {
+// fleetRuns sums sdtd_runs_total over nodes: the runs the fleet executed.
+func fleetRuns(nodes []*sdtdtest.Daemon) (int, error) {
 	total := 0
-	_, err := d.scrape(func(line string) (int, bool) {
-		if strings.HasPrefix(line, prefix) {
-			if sp := strings.LastIndexByte(line, ' '); sp >= 0 {
-				var v int
-				fmt.Sscanf(line[sp+1:], "%d", &v)
-				total += v
-			}
+	for _, d := range nodes {
+		n, err := d.MetricSum("sdtd_runs_total{")
+		if err != nil {
+			return 0, err
 		}
-		return 0, false
-	})
-	return total, err
-}
-
-func (d *daemon) scrape(f func(line string) (int, bool)) (int, error) {
-	resp, err := http.Get(d.base + "/metrics")
-	if err != nil {
-		return 0, err
+		total += n
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if v, ok := f(sc.Text()); ok {
-			return v, nil
-		}
-	}
-	return 0, sc.Err()
-}
-
-// waitClusterUp polls /healthz until the daemon's cluster view lists n
-// members all up.
-func (d *daemon) waitClusterUp(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var h struct {
-			Cluster []struct {
-				Up bool `json:"up"`
-			} `json:"cluster"`
-		}
-		resp, err := http.Get(d.base + "/healthz")
-		if err == nil {
-			err = json.NewDecoder(resp.Body).Decode(&h)
-			resp.Body.Close()
-		}
-		if err == nil && len(h.Cluster) == n {
-			up := 0
-			for _, p := range h.Cluster {
-				if p.Up {
-					up++
-				}
-			}
-			if up == n {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster never converged to %d members up", n)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func (d *daemon) checkHealthStatus(want int) error {
-	resp, err := http.Get(d.base + "/healthz")
-	if err != nil {
-		return fmt.Errorf("daemon unreachable after storm: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("healthz = %d, want %d", resp.StatusCode, want)
-	}
-	return nil
+	return total, nil
 }

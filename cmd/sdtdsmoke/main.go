@@ -29,26 +29,22 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"syscall"
 	"time"
 
 	"sdt"
 	"sdt/internal/cluster"
+	"sdt/internal/sdtdtest"
 	"sdt/internal/service"
 )
 
@@ -116,40 +112,37 @@ func run(bin string) error {
 	defer os.RemoveAll(tmp)
 
 	if bin == "" {
-		bin = filepath.Join(tmp, "sdtd")
-		build := exec.Command("go", "build", "-o", bin, "sdt/cmd/sdtd")
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building sdtd: %w", err)
+		if bin, err = sdtdtest.Build(tmp); err != nil {
+			return err
 		}
 	}
 
-	d, err := startDaemon(bin, tmp)
+	d, err := start(bin, filepath.Join(tmp, "results"))
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
 	// 0. Health report shape: 200 with a JSON body describing the store.
-	if err := d.checkHealth(); err != nil {
+	if err := checkHealth(d); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
 
 	// 1. Cold submissions, checked against in-process runs.
-	asmRes, err := d.submitChecked("prog.s", service.LangAsm, asmProg, "ibtc:4096")
+	asmRes, err := submitChecked(d, "prog.s", service.LangAsm, asmProg, "ibtc:4096")
 	if err != nil {
 		return fmt.Errorf("assembly program: %w", err)
 	}
-	if _, err := d.submitChecked("prog.mc", service.LangMiniC, minicProg, "fastret+ibtc:1024"); err != nil {
+	if _, err := submitChecked(d, "prog.mc", service.LangMiniC, minicProg, "fastret+ibtc:1024"); err != nil {
 		return fmt.Errorf("minic program: %w", err)
 	}
 
 	// 2. Cache-hit re-submission.
-	hitsBefore, err := d.cacheHits()
+	hitsBefore, err := d.MetricSum("sdtd_cache_hits_total{")
 	if err != nil {
 		return err
 	}
-	resp, err := d.submit(service.RunRequest{Name: "prog.s", Lang: service.LangAsm, Source: asmProg, Mech: "ibtc:4096"})
+	resp, err := d.Submit(service.RunRequest{Name: "prog.s", Lang: service.LangAsm, Source: asmProg, Mech: "ibtc:4096"})
 	if err != nil {
 		return fmt.Errorf("re-submission: %w", err)
 	}
@@ -159,7 +152,7 @@ func run(bin string) error {
 	if !bytes.Equal(resp.Result, asmRes) {
 		return fmt.Errorf("cached result not byte-identical:\n%s\n%s", asmRes, resp.Result)
 	}
-	hitsAfter, err := d.cacheHits()
+	hitsAfter, err := d.MetricSum("sdtd_cache_hits_total{")
 	if err != nil {
 		return err
 	}
@@ -169,14 +162,14 @@ func run(bin string) error {
 	log.Printf("cache hit OK (hits %d -> %d, byte-identical result)", hitsBefore, hitsAfter)
 
 	// 3. Batch sweep over built-in workloads.
-	if err := d.sweepSmoke(); err != nil {
+	if err := sweepSmoke(d); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
 
 	// 4. Deadline-cancelled run: distinct code, within 2x the deadline.
 	const deadline = 500 * time.Millisecond
 	start := time.Now()
-	status, body, err := d.post(service.RunRequest{Name: "spin.s", Source: spinProg, TimeoutMS: deadline.Milliseconds()})
+	status, body, err := d.Post(service.RunRequest{Name: "spin.s", Source: spinProg, TimeoutMS: deadline.Milliseconds()})
 	elapsed := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("deadline submission: %w", err)
@@ -197,7 +190,7 @@ func run(bin string) error {
 	// arrive and the daemon must exit 0. The deadline run's worker can
 	// outlive its 504 by a few ms, so first wait for the pool to go idle —
 	// otherwise the in-flight gauge we poll below could be its residue.
-	if err := d.waitInflightIs(false); err != nil {
+	if err := waitInflightIs(d, false); err != nil {
 		return err
 	}
 	type result struct {
@@ -206,13 +199,13 @@ func run(bin string) error {
 	}
 	slow := make(chan result, 1)
 	go func() {
-		r, err := d.submit(service.RunRequest{Name: "slow.s", Source: slowProg, TimeoutMS: 30_000})
+		r, err := d.Submit(service.RunRequest{Name: "slow.s", Source: slowProg, TimeoutMS: 30_000})
 		slow <- result{r, err}
 	}()
-	if err := d.waitInflightIs(true); err != nil {
+	if err := waitInflightIs(d, true); err != nil {
 		return err
 	}
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("signalling daemon: %w", err)
 	}
 	got := <-slow
@@ -222,7 +215,7 @@ func run(bin string) error {
 	if got.resp.Cached {
 		return fmt.Errorf("slow program unexpectedly cached")
 	}
-	if err := d.waitExit(20 * time.Second); err != nil {
+	if err := d.WaitExit(20 * time.Second); err != nil {
 		return err
 	}
 	log.Print("graceful drain OK (in-flight response delivered, clean exit)")
@@ -243,33 +236,26 @@ func run(bin string) error {
 // end to end: node B serves node A's results as cache hits, and
 // outliving A leaves B degraded but functional.
 func peerSmoke(bin, tmp string) error {
-	var urls []string
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		urls = append(urls, "http://"+ln.Addr().String())
-		ln.Close()
+	urls, err := sdtdtest.ReservePorts(2)
+	if err != nil {
+		return err
 	}
 	peersArg := urls[0] + "," + urls[1]
-	nodes := make([]*daemon, 2)
+	nodes := make([]*sdtdtest.Daemon, 2)
 	for i := range nodes {
-		var err error
-		nodes[i], err = startDaemon(bin, tmp,
+		nodes[i], err = start(bin, filepath.Join(tmp, fmt.Sprintf("peer-%d", i)),
 			"-addr", strings.TrimPrefix(urls[i], "http://"),
-			"-store", filepath.Join(tmp, fmt.Sprintf("peer-%d", i)),
 			"-peers", peersArg, "-self", urls[i], "-peer-probe", "100ms")
 		if err != nil {
 			return err
 		}
-		defer nodes[i].kill()
+		defer nodes[i].Kill()
 	}
 
 	// Daemons retry their initial peer probe with short backoff until the
 	// first success, so sequential boot converges on its own; this wait is
 	// only confirmation that both daemons are listening and converged.
-	if err := waitClusterUp(nodes, 10*time.Second); err != nil {
+	if err := sdtdtest.WaitRing(nodes, 0, len(nodes), 10*time.Second); err != nil {
 		return err
 	}
 
@@ -287,7 +273,7 @@ func peerSmoke(bin, tmp string) error {
 	}
 	var onA []seeded
 	for seed := uint64(0); seed < 8; seed++ {
-		resp, err := nodes[0].submit(service.RunRequest{
+		resp, err := nodes[0].Submit(service.RunRequest{
 			Name: "prog.s", Lang: service.LangAsm, Source: asmProg, Mech: "ibtc:4096", Seed: seed,
 		})
 		if err != nil {
@@ -305,7 +291,7 @@ func peerSmoke(bin, tmp string) error {
 		return fmt.Errorf("none of 8 seeded results hash to node A; ephemeral ports made a degenerate ring, rerun")
 	}
 	for _, s := range onA {
-		resp, err := nodes[1].submit(service.RunRequest{
+		resp, err := nodes[1].Submit(service.RunRequest{
 			Name: "prog.s", Lang: service.LangAsm, Source: asmProg, Mech: "ibtc:4096", Seed: s.seed,
 		})
 		if err != nil {
@@ -318,7 +304,7 @@ func peerSmoke(bin, tmp string) error {
 			return fmt.Errorf("seed %d peer-fetched bytes differ from node A's original", s.seed)
 		}
 	}
-	peerHits, err := nodes[1].counterValue(`sdtd_cache_hits_total{layer="peer"}`)
+	peerHits, err := nodes[1].Metric(`sdtd_cache_hits_total{layer="peer"}`)
 	if err != nil {
 		return err
 	}
@@ -328,25 +314,22 @@ func peerSmoke(bin, tmp string) error {
 	log.Printf("peer tier OK (%d/8 results owned by node A, all served to node B byte-identical)", len(onA))
 
 	// Outage: B must degrade, not die.
-	nodes[0].kill()
+	nodes[0].Kill()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		resp, err := http.Get(nodes[1].base + "/healthz")
+		status, h, err := nodes[1].Health()
 		if err != nil {
 			return err
 		}
-		var h service.Health
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if err == nil && resp.StatusCode == http.StatusOK && h.Status == service.HealthDegraded {
+		if status == http.StatusOK && h.Status == service.HealthDegraded {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("node B never reported degraded after its peer died (last: %d %q)", resp.StatusCode, h.Status)
+			return fmt.Errorf("node B never reported degraded after its peer died (last: %d %q)", status, h.Status)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, err := nodes[1].submit(service.RunRequest{
+	if _, err := nodes[1].Submit(service.RunRequest{
 		Name: "prog.s", Lang: service.LangAsm, Source: asmProg, Mech: "ibtc:4096", Seed: 99,
 	}); err != nil {
 		return fmt.Errorf("node B stopped serving after its peer died: %w", err)
@@ -368,54 +351,44 @@ func membershipSmoke(bin, tmp string) error {
 		Mechs:     []string{"ibtc:4096", "sieve:1024"},
 		Limit:     20_000_000,
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
 
 	// Golden: the same matrix through /v1/cluster/sweep on a lone daemon
 	// (it degenerates to one local shard).
-	gd, err := startDaemon(bin, tmp, "-store", filepath.Join(tmp, "member-golden"))
+	gd, err := start(bin, filepath.Join(tmp, "member-golden"))
 	if err != nil {
 		return err
 	}
-	_, golden, err := gd.stream("/v1/cluster/sweep", req)
-	gd.kill()
+	_, golden, err := gd.Stream("/v1/cluster/sweep", req, nil)
+	gd.Kill()
 	if err != nil {
 		return fmt.Errorf("golden cluster sweep: %w", err)
 	}
 
 	// Three replicated members on fixed ports, plus a reserved port for
 	// the joiner.
-	var urls []string
-	for i := 0; i < 4; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		urls = append(urls, "http://"+ln.Addr().String())
-		ln.Close()
+	urls, err := sdtdtest.ReservePorts(4)
+	if err != nil {
+		return err
 	}
 	peersArg := strings.Join(urls[:3], ",")
-	nodes := make([]*daemon, 4)
+	nodes := make([]*sdtdtest.Daemon, 4)
 	defer func() {
 		for _, d := range nodes {
 			if d != nil {
-				d.kill()
+				d.Kill()
 			}
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		nodes[i], err = startDaemon(bin, tmp,
+		nodes[i], err = start(bin, filepath.Join(tmp, fmt.Sprintf("member-%d", i)),
 			"-addr", strings.TrimPrefix(urls[i], "http://"),
-			"-store", filepath.Join(tmp, fmt.Sprintf("member-%d", i)),
 			"-peers", peersArg, "-self", urls[i], "-peer-probe", "100ms",
 			"-replication", "2", "-admin-token", adminToken)
 		if err != nil {
 			return err
 		}
 	}
-	if err := waitClusterUp(nodes[:3], 10*time.Second); err != nil {
+	if err := sdtdtest.WaitRing(nodes[:3], 0, 3, 10*time.Second); err != nil {
 		return err
 	}
 
@@ -423,89 +396,66 @@ func membershipSmoke(bin, tmp string) error {
 	// a fourth node (a solo cluster of itself) and join it through the
 	// admin endpoint. The in-flight sweep is pinned to the epoch-0 ring;
 	// its stream must come out byte-identical to the golden anyway.
-	resp, err := http.Post(nodes[0].base+"/v1/cluster/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("cluster sweep status %d: %s", resp.StatusCode, data)
-	}
-	var canonical bytes.Buffer
 	joined := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	_, canonical, err := nodes[0].Stream("/v1/cluster/sweep", req, func(rec sdtdtest.Record) error {
+		if rec.Type != "cell" || joined {
+			return nil
 		}
-		var rec sweepRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("decoding %q: %w", sc.Text(), err)
+		joined = true
+		var err error
+		nodes[3], err = start(bin, filepath.Join(tmp, "member-3"),
+			"-addr", strings.TrimPrefix(urls[3], "http://"),
+			"-peers", urls[3], "-self", urls[3], "-peer-probe", "100ms",
+			"-replication", "2", "-admin-token", adminToken)
+		if err != nil {
+			return fmt.Errorf("booting the joiner: %w", err)
 		}
-		if rec.Type == "progress" {
-			continue
+		mr, err := nodes[0].PostAdmin("/v1/cluster/join", adminToken, service.MemberChange{URL: urls[3]})
+		if err != nil {
+			return fmt.Errorf("joining mid-sweep: %w", err)
 		}
-		canonical.Write(line)
-		canonical.WriteByte('\n')
-		if rec.Type == "cell" && !joined {
-			joined = true
-			nodes[3], err = startDaemon(bin, tmp,
-				"-addr", strings.TrimPrefix(urls[3], "http://"),
-				"-store", filepath.Join(tmp, "member-3"),
-				"-peers", urls[3], "-self", urls[3], "-peer-probe", "100ms",
-				"-replication", "2", "-admin-token", adminToken)
-			if err != nil {
-				return fmt.Errorf("booting the joiner: %w", err)
-			}
-			mr, err := postAdmin(nodes[0].base+"/v1/cluster/join", adminToken, service.MemberChange{URL: urls[3]})
-			if err != nil {
-				return fmt.Errorf("joining mid-sweep: %w", err)
-			}
-			if mr.Epoch != 1 || len(mr.Members) != 4 {
-				return fmt.Errorf("join answered epoch=%d members=%v, want epoch 1 with 4 members", mr.Epoch, mr.Members)
-			}
+		if mr.Epoch != 1 || len(mr.Members) != 4 {
+			return fmt.Errorf("join answered epoch=%d members=%v, want epoch 1 with 4 members", mr.Epoch, mr.Members)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if !joined {
 		return fmt.Errorf("sweep stream carried no cell records")
 	}
-	if !bytes.Equal(canonical.Bytes(), golden) {
-		return fmt.Errorf("fleet sweep spanning a join differs from golden:\n--- golden\n%s--- fleet\n%s", golden, canonical.Bytes())
+	if !bytes.Equal(canonical, golden) {
+		return fmt.Errorf("fleet sweep spanning a join differs from golden:\n--- golden\n%s--- fleet\n%s", golden, canonical)
 	}
 	log.Print("membership join OK (4th node joined mid-sweep, stream byte-identical)")
 
 	// Every member — the joiner included — must converge on the new ring.
-	if err := waitRing(nodes[:4], 1, 4, 10*time.Second); err != nil {
+	if err := sdtdtest.WaitRing(nodes[:4], 1, 4, 10*time.Second); err != nil {
 		return err
 	}
 
 	// Remove an original member and drain it; the survivors converge on
 	// epoch 2 and the matrix still streams byte-identically (its share of
 	// results lives on ring replicas).
-	mr, err := postAdmin(nodes[0].base+"/v1/cluster/leave", adminToken, service.MemberChange{URL: urls[1]})
+	mr, err := nodes[0].PostAdmin("/v1/cluster/leave", adminToken, service.MemberChange{URL: urls[1]})
 	if err != nil {
 		return fmt.Errorf("leave: %w", err)
 	}
 	if mr.Epoch != 2 || len(mr.Members) != 3 {
 		return fmt.Errorf("leave answered epoch=%d members=%v, want epoch 2 with 3 members", mr.Epoch, mr.Members)
 	}
-	if err := nodes[1].cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := nodes[1].Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("draining the removed member: %w", err)
 	}
-	if err := nodes[1].waitExit(20 * time.Second); err != nil {
+	if err := nodes[1].WaitExit(20 * time.Second); err != nil {
 		return err
 	}
-	survivors := []*daemon{nodes[0], nodes[2], nodes[3]}
-	if err := waitRing(survivors, 2, 3, 10*time.Second); err != nil {
+	survivors := []*sdtdtest.Daemon{nodes[0], nodes[2], nodes[3]}
+	if err := sdtdtest.WaitRing(survivors, 2, 3, 10*time.Second); err != nil {
 		return err
 	}
-	_, final, err := nodes[0].stream("/v1/cluster/sweep", req)
+	_, final, err := nodes[0].Stream("/v1/cluster/sweep", req, nil)
 	if err != nil {
 		return fmt.Errorf("post-leave sweep: %w", err)
 	}
@@ -516,159 +466,10 @@ func membershipSmoke(bin, tmp string) error {
 	return nil
 }
 
-// postAdmin posts a JSON body with the admin token and decodes the
-// membership response.
-func postAdmin(url, token string, v any) (*service.MembershipResponse, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Admin-Token", token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, data)
-	}
-	var mr service.MembershipResponse
-	if err := json.Unmarshal(data, &mr); err != nil {
-		return nil, fmt.Errorf("decoding %q: %w", data, err)
-	}
-	return &mr, nil
-}
-
-// waitRing blocks until every node's /healthz reports the given ring
-// epoch with the given member count, all up.
-func waitRing(nodes []*daemon, epoch uint64, members int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for _, d := range nodes {
-		for {
-			var h service.Health
-			resp, err := http.Get(d.base + "/healthz")
-			if err == nil {
-				err = json.NewDecoder(resp.Body).Decode(&h)
-				resp.Body.Close()
-			}
-			up := 0
-			for _, p := range h.Cluster {
-				if p.Up {
-					up++
-				}
-			}
-			if err == nil && h.ClusterEpoch == epoch && len(h.Cluster) == members && up == members {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s never converged on epoch %d with %d members up (last: epoch=%d members=%d up=%d err=%v)",
-					d.base, epoch, members, h.ClusterEpoch, len(h.Cluster), up, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// waitClusterUp blocks until every node's /healthz reports every cluster
-// member up, or the timeout passes.
-func waitClusterUp(nodes []*daemon, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for _, d := range nodes {
-		for {
-			up := 0
-			resp, err := http.Get(d.base + "/healthz")
-			if err == nil {
-				var h service.Health
-				if json.NewDecoder(resp.Body).Decode(&h) == nil {
-					for _, p := range h.Cluster {
-						if p.Up {
-							up++
-						}
-					}
-				}
-				resp.Body.Close()
-			}
-			if up == len(nodes) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster never converged: %s sees %d/%d members up", d.base, up, len(nodes))
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// sweepRec is the union of the /v1/sweep NDJSON record shapes — one
-// struct with every field so a single decode handles any record type.
-type sweepRec struct {
-	Type     string             `json:"type"`
-	Total    int                `json:"total"`
-	Index    int                `json:"index"`
-	Workload string             `json:"workload"`
-	Mech     string             `json:"mech"`
-	Cached   bool               `json:"cached"`
-	Result   json.RawMessage    `json:"result"`
-	Error    *service.ErrorInfo `json:"error"`
-	Done     int                `json:"done"`
-	Errors   int                `json:"errors"`
-	Canceled int                `json:"canceled"`
-}
-
-// stream posts body to one of the sweep routes and reads the whole
-// NDJSON response: every record, plus the canonical bytes (progress
-// heartbeats stripped) that deterministic streams are compared by.
-func (d *daemon) stream(path string, body any) ([]sweepRec, []byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := http.Post(d.base+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return nil, nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, data)
-	}
-	var canonical bytes.Buffer
-	var recs []sweepRec
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec sweepRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, fmt.Errorf("decoding %q: %w", line, err)
-		}
-		recs = append(recs, rec)
-		if rec.Type != "progress" {
-			canonical.Write(line)
-			canonical.WriteByte('\n')
-		}
-	}
-	return recs, canonical.Bytes(), sc.Err()
-}
-
 // splitSweep indexes a sweep stream: cell records by matrix index, plus
 // the final done record.
-func splitSweep(recs []sweepRec) (cells map[int]sweepRec, done *sweepRec, err error) {
-	cells = map[int]sweepRec{}
+func splitSweep(recs []sdtdtest.Record) (cells map[int]sdtdtest.Record, done *sdtdtest.Record, err error) {
+	cells = map[int]sdtdtest.Record{}
 	for i := range recs {
 		switch rec := recs[i]; rec.Type {
 		case "start", "progress":
@@ -689,7 +490,7 @@ func splitSweep(recs []sweepRec) (cells map[int]sweepRec, done *sweepRec, err er
 	return cells, done, nil
 }
 
-func (d *daemon) sweepSmoke() error {
+func sweepSmoke(d *sdtdtest.Daemon) error {
 	// Completeness: a 2x2 matrix streams one result per cell plus a clean
 	// done record.
 	req := service.SweepRequest{
@@ -697,7 +498,7 @@ func (d *daemon) sweepSmoke() error {
 		Mechs:     []string{"ibtc:4096", "sieve:1024"},
 		Limit:     20_000_000,
 	}
-	recs, _, err := d.stream("/v1/sweep", req)
+	recs, _, err := d.Stream("/v1/sweep", req, nil)
 	if err != nil {
 		return err
 	}
@@ -717,7 +518,7 @@ func (d *daemon) sweepSmoke() error {
 
 	// Cached re-submission: every cell served from the store, results
 	// byte-identical per index.
-	again, _, err := d.stream("/v1/sweep", req)
+	again, _, err := d.Stream("/v1/sweep", req, nil)
 	if err != nil {
 		return fmt.Errorf("re-submission: %w", err)
 	}
@@ -739,11 +540,11 @@ func (d *daemon) sweepSmoke() error {
 	log.Print("sweep cached re-submission OK (4/4 cached, byte-identical)")
 
 	// Poisoned-cell isolation: an unknown workload fails only its own cell.
-	recs, _, err = d.stream("/v1/sweep", service.SweepRequest{
+	recs, _, err = d.Stream("/v1/sweep", service.SweepRequest{
 		Workloads: []string{"gzip", "nosuchworkload"},
 		Mechs:     []string{"ibtc:4096"},
 		Limit:     20_000_000,
-	})
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("poisoned sweep: %w", err)
 	}
@@ -763,37 +564,23 @@ func (d *daemon) sweepSmoke() error {
 	// Disconnect cancellation: drop the connection right after the stream
 	// starts; the daemon must cancel the remaining cells and account for
 	// them in sdtd_sweep_cells_total{outcome="canceled"}.
-	canceledBefore, err := d.counterValue(`sdtd_sweep_cells_total{outcome="canceled"}`)
+	canceledBefore, err := d.Metric(`sdtd_sweep_cells_total{outcome="canceled"}`)
 	if err != nil {
 		return err
-	}
-	body, err := json.Marshal(service.SweepRequest{
-		Workloads: []string{"gcc", "crafty", "eon", "gap", "twolf", "parser"},
-		Mechs:     []string{"inline:2+ibtc:16384", "retcache:1024+ibtc:16384"},
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, d.base+"/v1/sweep", bytes.NewReader(body))
-	if err != nil {
-		cancel()
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		cancel()
-		return fmt.Errorf("cancel sweep: %w", err)
 	}
 	// Read just the start record so the stream is known to be live, then
-	// hang up.
-	bufio.NewScanner(resp.Body).Scan()
-	cancel()
-	resp.Body.Close()
+	// hang up: Stream closes the connection when onRecord fails.
+	errHangUp := errors.New("hang up")
+	_, _, err = d.Stream("/v1/sweep", service.SweepRequest{
+		Workloads: []string{"gcc", "crafty", "eon", "gap", "twolf", "parser"},
+		Mechs:     []string{"inline:2+ibtc:16384", "retcache:1024+ibtc:16384"},
+	}, func(sdtdtest.Record) error { return errHangUp })
+	if !errors.Is(err, errHangUp) {
+		return fmt.Errorf("cancel sweep: %v", err)
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		canceled, err := d.counterValue(`sdtd_sweep_cells_total{outcome="canceled"}`)
+		canceled, err := d.Metric(`sdtd_sweep_cells_total{outcome="canceled"}`)
 		if err != nil {
 			return err
 		}
@@ -808,93 +595,25 @@ func (d *daemon) sweepSmoke() error {
 	}
 }
 
-// counterValue scrapes one exact metric series from /metrics (0 if the
-// series has not been rendered yet).
-func (d *daemon) counterValue(series string) (int, error) {
-	resp, err := http.Get(d.base + "/metrics")
-	if err != nil {
-		return 0, err
+// start boots an sdtd child with the smoke's admission queue, storing
+// results in storeDir.
+func start(bin, storeDir string, extra ...string) (*sdtdtest.Daemon, error) {
+	d, err := sdtdtest.Start(bin, storeDir, append([]string{"-queue", "64"}, extra...)...)
+	if err == nil {
+		log.Printf("daemon up at %s", d.Base)
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, series+" ") {
-			var v int
-			if _, err := fmt.Sscanf(line[len(series)+1:], "%d", &v); err != nil {
-				return 0, fmt.Errorf("parsing %q: %w", line, err)
-			}
-			return v, sc.Err()
-		}
-	}
-	return 0, sc.Err()
-}
-
-// daemon wraps the child sdtd process.
-type daemon struct {
-	cmd  *exec.Cmd
-	base string
-	done chan error
-}
-
-var listenRE = regexp.MustCompile(`listening on (http://\S+)`)
-
-// startDaemon boots an sdtd child. extra flags come after the base set,
-// so (flag package, last one wins) they may override -addr or -store —
-// the clustered step needs fixed ports and per-node stores.
-func startDaemon(bin, tmp string, extra ...string) (*daemon, error) {
-	args := append([]string{
-		"-addr", "127.0.0.1:0",
-		"-store", filepath.Join(tmp, "results"),
-		"-queue", "64"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", bin, err)
-	}
-	d := &daemon{cmd: cmd, done: make(chan error, 1)}
-
-	addr := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if m := listenRE.FindStringSubmatch(sc.Text()); m != nil {
-				addr <- m[1]
-			}
-		}
-	}()
-	go func() { d.done <- cmd.Wait() }()
-
-	select {
-	case d.base = <-addr:
-	case err := <-d.done:
-		return nil, fmt.Errorf("sdtd exited before listening: %v", err)
-	case <-time.After(20 * time.Second):
-		d.kill()
-		return nil, fmt.Errorf("sdtd did not report a listen address in 20s")
-	}
-	log.Printf("daemon up at %s", d.base)
-	return d, nil
+	return d, err
 }
 
 // checkHealth asserts the /healthz contract: HTTP 200 while serving, and
 // a JSON service.Health body reporting a persistent, non-degraded store.
-func (d *daemon) checkHealth() error {
-	resp, err := http.Get(d.base + "/healthz")
+func checkHealth(d *sdtdtest.Daemon) error {
+	status, h, err := d.Health()
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d, want 200", resp.StatusCode)
-	}
-	var h service.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return fmt.Errorf("body is not a JSON health report: %v", err)
+	if status != http.StatusOK {
+		return fmt.Errorf("status %d, want 200", status)
 	}
 	if h.Status != service.HealthOK {
 		return fmt.Errorf("status field %q, want %q", h.Status, service.HealthOK)
@@ -906,59 +625,11 @@ func (d *daemon) checkHealth() error {
 	return nil
 }
 
-func (d *daemon) kill() {
-	if d.cmd.Process != nil {
-		d.cmd.Process.Kill()
-	}
-}
-
-func (d *daemon) waitExit(timeout time.Duration) error {
-	select {
-	case err := <-d.done:
-		if err != nil {
-			return fmt.Errorf("sdtd exited uncleanly: %v", err)
-		}
-		return nil
-	case <-time.After(timeout):
-		d.kill()
-		return fmt.Errorf("sdtd did not exit within %v of SIGTERM", timeout)
-	}
-}
-
-func (d *daemon) post(req service.RunRequest) (int, []byte, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := http.Post(d.base+"/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
-}
-
-func (d *daemon) submit(req service.RunRequest) (*service.RunResponse, error) {
-	status, data, err := d.post(req)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", status, data)
-	}
-	var resp service.RunResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("decoding %q: %w", data, err)
-	}
-	return &resp, nil
-}
-
 // submitChecked cold-submits a program and verifies the service's numbers
 // against a direct in-process run of the same pipeline. It returns the raw
 // result bytes for later byte-identity checks.
-func (d *daemon) submitChecked(name, lang, src, mech string) (json.RawMessage, error) {
-	resp, err := d.submit(service.RunRequest{Name: name, Lang: lang, Source: src, Mech: mech})
+func submitChecked(d *sdtdtest.Daemon, name, lang, src, mech string) (json.RawMessage, error) {
+	resp, err := d.Submit(service.RunRequest{Name: name, Lang: lang, Source: src, Mech: mech})
 	if err != nil {
 		return nil, err
 	}
@@ -1006,43 +677,16 @@ func (d *daemon) submitChecked(name, lang, src, mech string) (json.RawMessage, e
 	return resp.Result, nil
 }
 
-// cacheHits scrapes total sdtd_cache_hits_total across layers.
-func (d *daemon) cacheHits() (int, error) {
-	resp, err := http.Get(d.base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	total := 0
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "sdtd_cache_hits_total{") {
-			var v int
-			if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &v); err == nil {
-				total += v
-			}
-		}
-	}
-	return total, sc.Err()
-}
-
 // waitInflightIs polls /metrics until the in-flight gauge is (non)zero.
-func (d *daemon) waitInflightIs(busy bool) error {
+func waitInflightIs(d *sdtdtest.Daemon, busy bool) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(d.base + "/metrics")
+		n, err := d.Metric("sdtd_inflight_runs")
 		if err != nil {
 			return err
 		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, "sdtd_inflight_runs ") {
-				if idle := strings.HasSuffix(line, " 0"); idle != busy {
-					return nil
-				}
-			}
+		if (n != 0) == busy {
+			return nil
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -26,12 +26,18 @@ go test -race ./...
 echo "==> predictor probe suite"
 go test -race -v -run '^(TestProbes|TestProbeSuiteCoverage|TestBTBLegacyEquivalence|TestRASLegacyEquivalence)$' ./internal/predictor
 
-# End-to-end daemon smoke: builds sdtd, starts it on an ephemeral port,
+# Both daemon drivers below run one sdtd built here and passed with -bin
+# (make smoke / make chaos exercise their own go-build fallback).
+sdtd_dir=$(mktemp -d)
+trap 'rm -rf "$sdtd_dir"' EXIT
+go build -o "$sdtd_dir/sdtd" ./cmd/sdtd
+
+# End-to-end daemon smoke: starts sdtd on an ephemeral port,
 # exercises cold/cached submissions against direct sdt.Run, deadline
 # cancellation, SIGTERM drain, and a two-node cluster serving each
 # other's result stores (docs/CLUSTER.md). See cmd/sdtdsmoke.
 echo "==> sdtd smoke"
-go run ./cmd/sdtdsmoke
+go run ./cmd/sdtdsmoke -bin "$sdtd_dir/sdtd"
 
 # Hostile-conditions gate: the same daemon under a deterministic fault
 # plan — injected disk errors, corruption, worker panics, a SIGKILLed
@@ -40,7 +46,7 @@ go run ./cmd/sdtdsmoke
 # Fixed seed so a failure reproduces. See docs/ROBUSTNESS.md and
 # docs/CLUSTER.md.
 echo "==> sdtd chaos"
-go run ./cmd/sdtchaos -seed 42
+go run ./cmd/sdtchaos -seed 42 -bin "$sdtd_dir/sdtd"
 
 # Each fuzz target gets a short randomized smoke on top of its seed
 # corpus. Go only allows one -fuzz pattern per package invocation, so
