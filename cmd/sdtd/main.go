@@ -137,7 +137,7 @@ func main() {
 			logger.Fatalf("forming cluster: %v", err)
 		}
 		cl = c
-		logger.Printf("cluster member %s of %d peers, replication=%d", cl.SelfName(), cl.Size(), cl.ReplicationFactor())
+		logger.Printf("cluster member %s of %d peers, replication=%d", cl.SelfName(), cl.CurrentView().Size(), cl.ReplicationFactor())
 	} else if *self != "" {
 		logger.Fatal("-self is meaningless without -peers")
 	}

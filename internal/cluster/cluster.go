@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -70,7 +70,9 @@ type Config struct {
 	// peer's /healthz (0 = 2s, < 0 = no prober; fetch and dispatch
 	// outcomes still update liveness).
 	ProbeInterval time.Duration
-	// FetchTimeout bounds one peer fetch, replica push or probe (0 = 5s).
+	// FetchTimeout bounds every request to a peer: result fetch, replica
+	// push, probe, journal push, fetch and tombstone, and membership
+	// broadcast (0 = 5s).
 	FetchTimeout time.Duration
 	// VNodes is the virtual nodes per member on the ring (0 = 64).
 	// All members must use the same value.
@@ -288,10 +290,6 @@ func (c *Cluster) makeView(epoch uint64, urls []string, reuse *View) (*View, err
 // point of view.
 var errSelfExcluded = errors.New("cluster: membership update excludes self")
 
-// SetFaults arms the cluster's fault-injection seam (nil disarms). Not
-// safe to call concurrently with Fetch.
-func (c *Cluster) SetFaults(f store.Faults) { c.faults = f }
-
 // SetLocal wires the strictly-local store the replicator re-reads
 // payloads from (anti-entropy). Call before Start, like SetRemote on
 // the store side.
@@ -308,47 +306,21 @@ func (c *Cluster) HTTPClient() *http.Client { return c.client }
 // partitioning) captures this once and uses the View throughout.
 func (c *Cluster) CurrentView() *View { return c.cur.Load() }
 
-// Epoch returns the current ring epoch (0 at boot; each membership
-// change increments it).
-func (c *Cluster) Epoch() uint64 { return c.cur.Load().epoch }
-
 // ReplicationFactor returns the configured replication factor (>= 1).
 func (c *Cluster) ReplicationFactor() int { return c.rf }
-
-// Size returns the number of members in the current view, self included.
-func (c *Cluster) Size() int { return c.cur.Load().Size() }
-
-// Members returns the current view's fleet sorted by name. The slice is
-// shared and must not be mutated.
-func (c *Cluster) Members() []*Peer { return c.cur.Load().Members() }
 
 // Owner returns the peer owning key on the current view's ring.
 func (c *Cluster) Owner(key string) *Peer { return c.cur.Load().Owner(key) }
 
-// Assign returns the first peer in key's deterministic failover order
-// accepted by ok, on the current view. See View.Assign.
-func (c *Cluster) Assign(key string, ok func(*Peer) bool) *Peer {
-	return c.cur.Load().Assign(key, ok)
-}
-
 // Join adds a member by URL and installs the new view at epoch+1.
-// The caller (the service's admin handler) broadcasts the resulting
-// membership to the rest of the fleet.
+// The caller (the service's admin handler) then Broadcasts the
+// resulting membership to the rest of the fleet.
 func (c *Cluster) Join(raw string) (*View, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	name, _, err := peerName(raw)
-	if err != nil {
-		return nil, err
-	}
 	old := c.cur.Load()
-	for _, p := range old.members {
-		if p.name == name {
-			return nil, fmt.Errorf("cluster: %s is already a member", name)
-		}
-	}
-	urls := append(old.MemberURLs(), raw)
-	v, err := c.makeView(old.epoch+1, urls, old)
+	// makeView refuses a member that is already in the view.
+	v, err := c.makeView(old.epoch+1, append(old.MemberURLs(), raw), old)
 	if err != nil {
 		return nil, err
 	}
@@ -420,6 +392,59 @@ func (c *Cluster) Apply(epoch uint64, urls []string) (*View, bool, error) {
 	return v, true, nil
 }
 
+// MembershipPath is the admin-guarded route a membership change is
+// broadcast to; its body is a MembershipUpdate.
+const MembershipPath = "/v1/cluster/membership"
+
+// MembershipUpdate is the body of POST /v1/cluster/membership: the
+// authoritative membership at one ring epoch, broadcast by whichever
+// node served a join or leave. Nodes apply it only if the epoch is
+// newer than their current view.
+type MembershipUpdate struct {
+	Epoch uint64   `json:"epoch"`
+	Peers []string `json:"peers"`
+}
+
+// Broadcast pushes v's membership to every node in the union of the old
+// and new memberships but self, concurrently, authenticating with the
+// fleet's admin token. It is best-effort: a node that misses the update
+// (down, racing) converges later, since any member can re-POST it and
+// epoch comparison makes applying it idempotent. It waits for the
+// fan-out, so its return means the reachable fleet has the new ring,
+// and it returns one error per node that did not take the update.
+func (c *Cluster) Broadcast(ctx context.Context, old, v *View, token string) error {
+	update, err := json.Marshal(MembershipUpdate{Epoch: v.epoch, Peers: v.MemberURLs()})
+	if err != nil {
+		return err
+	}
+	urls := make(map[string]bool)
+	for _, members := range [][]*Peer{old.members, v.members} {
+		for _, p := range members {
+			if !p.self {
+				urls[p.url] = true
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(urls))
+	for u := range urls {
+		wg.Add(1)
+		go func(u string) {
+			defer wg.Done()
+			if _, _, err := c.do(ctx, peerReq{method: http.MethodPost, url: u + MembershipPath, body: update, token: token}); err != nil {
+				errs <- fmt.Errorf("membership broadcast to %s: %w", u, err)
+			}
+		}(u)
+	}
+	wg.Wait()
+	close(errs)
+	var all []error
+	for err := range errs {
+		all = append(all, err)
+	}
+	return errors.Join(all...)
+}
+
 // soloView is the view a removed node adopts: itself, alone, at the
 // broadcast epoch.
 func (c *Cluster) soloView(epoch uint64) (*View, error) {
@@ -485,6 +510,9 @@ func (c *Cluster) Fetch(key string) ([]byte, bool, error) {
 		tried   = make(map[string]bool, v.rf+1)
 	)
 	attempt := func(p *Peer, migration bool) ([]byte, bool) {
+		if tried[p.name] {
+			return nil, false
+		}
 		tried[p.name] = true
 		if p.self {
 			return nil, false
@@ -518,9 +546,6 @@ func (c *Cluster) Fetch(key string) ([]byte, bool, error) {
 	}
 	if blocked {
 		for _, p := range v.Successors(key) {
-			if tried[p.name] {
-				continue
-			}
 			if data, ok := attempt(p, false); ok {
 				return data, true, nil
 			}
@@ -528,21 +553,16 @@ func (c *Cluster) Fetch(key string) ([]byte, bool, error) {
 	}
 	if pv := c.prev.Load(); pv != nil {
 		for _, p := range pv.Replicas(key) {
-			if tried[p.name] {
-				continue
-			}
 			if data, ok := attempt(p, true); ok {
 				return data, true, nil
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, false, errors.Join(errs...)
-	}
-	return nil, false, nil
+	return nil, false, errors.Join(errs...)
 }
 
-// fetchFrom performs one peer fetch, feeding p's breaker.
+// fetchFrom performs one peer fetch, feeding p's breaker. A seal
+// failure means the peer answered with rot: availability is fine.
 func (c *Cluster) fetchFrom(p *Peer, key string) ([]byte, bool, error) {
 	if c.faults != nil {
 		if err := c.faults.Fail(SiteFetch); err != nil {
@@ -550,51 +570,13 @@ func (c *Cluster) fetchFrom(p *Peer, key string) ([]byte, bool, error) {
 			return nil, false, err
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+PeerResultPath+key, nil)
-	if err != nil {
+	data, ok, err := c.do(context.Background(), peerReq{method: http.MethodGet, url: p.url + PeerResultPath + key, sealed: true, site: SiteFetch})
+	if err != nil && !errors.Is(err, errBadSeal) {
 		p.br.Failure()
-		return nil, false, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		p.br.Failure()
-		return nil, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
+	} else {
 		p.br.Success()
-		return nil, false, nil
-	default:
-		p.br.Failure()
-		return nil, false, fmt.Errorf("peer answered %s", resp.Status)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxEntryBytes+1))
-	if err != nil {
-		p.br.Failure()
-		return nil, false, err
-	}
-	if len(raw) > maxEntryBytes {
-		p.br.Failure()
-		return nil, false, fmt.Errorf("entry exceeds %d bytes", maxEntryBytes)
-	}
-	if c.faults != nil {
-		raw, _ = c.faults.Corrupt(SiteFetch, raw)
-	}
-	payload, err := store.OpenEntry(raw)
-	if err != nil {
-		// The peer answered; its data was rot. Availability is fine.
-		p.br.Success()
-		return nil, false, fmt.Errorf("sealed entry rejected: %w", err)
-	}
-	p.br.Success()
-	return payload, true, nil
+	return data, ok, err
 }
 
 // Start launches the background health prober and the replication
@@ -621,21 +603,21 @@ func (c *Cluster) Start() {
 		defer c.wg.Done()
 		t := time.NewTicker(c.probeEvery)
 		defer t.Stop()
-		c.probeAll()
+		c.probeAll(false)
 		for backoff := 25 * time.Millisecond; backoff < c.probeEvery && c.anyPeerDown(); backoff *= 2 {
 			select {
 			case <-c.stop:
 				return
 			case <-time.After(backoff):
 			}
-			c.probeDown()
+			c.probeAll(true)
 		}
 		for {
 			select {
 			case <-c.stop:
 				return
 			case <-t.C:
-				c.probeAll()
+				c.probeAll(false)
 			}
 		}
 	}()
@@ -659,14 +641,16 @@ func (c *Cluster) probeOne(p *Peer) {
 	}
 }
 
-// probeAll checks every remote peer's /healthz concurrently. Any HTTP
-// 200 marks the peer up (a degraded-store 200 still serves results);
-// errors and non-200s — including a draining node's 503 — mark it
-// down so the sweep coordinator stops assigning it new work.
-func (c *Cluster) probeAll() {
+// probeAll checks remote peers' /healthz concurrently: every one, or
+// with downOnly just those marked down (the boot-phase retry loop; up
+// peers are left to the steady ticker). Any HTTP 200 marks the peer up
+// (a degraded-store 200 still serves results); errors and non-200s —
+// including a draining node's 503 — mark it down so the sweep
+// coordinator stops assigning it new work.
+func (c *Cluster) probeAll(downOnly bool) {
 	var wg sync.WaitGroup
 	for _, p := range c.cur.Load().members {
-		if p.self {
+		if p.self || downOnly && p.up.Load() {
 			continue
 		}
 		wg.Add(1)
@@ -688,35 +672,7 @@ func (c *Cluster) anyPeerDown() bool {
 	return false
 }
 
-// probeDown re-probes only the peers currently marked down (the boot-phase
-// retry loop; up peers are left to the steady ticker).
-func (c *Cluster) probeDown() {
-	var wg sync.WaitGroup
-	for _, p := range c.cur.Load().members {
-		if p.self || p.up.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(p *Peer) {
-			defer wg.Done()
-			c.probeOne(p)
-		}(p)
-	}
-	wg.Wait()
-}
-
 func (c *Cluster) probe(p *Peer) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, ok, err := c.do(context.Background(), peerReq{method: http.MethodGet, url: p.url + "/healthz"})
+	return ok && err == nil
 }

@@ -233,7 +233,7 @@ func TestProber(t *testing.T) {
 	defer c.Close()
 
 	var remote *Peer
-	for _, p := range c.Members() {
+	for _, p := range c.CurrentView().Members() {
 		if !p.Self() {
 			remote = p
 		}
@@ -280,7 +280,7 @@ func TestProberBootBackoff(t *testing.T) {
 	defer c.Close()
 
 	var remote *Peer
-	for _, p := range c.Members() {
+	for _, p := range c.CurrentView().Members() {
 		if !p.Self() {
 			remote = p
 		}
@@ -307,7 +307,7 @@ func TestProberBootBackoff(t *testing.T) {
 func TestMergeOrder(t *testing.T) {
 	const n = 257
 	var got []int
-	m := NewMerge[int](n, func(index, v int) {
+	m := NewMerge[int](func(index, v int) {
 		if index != v {
 			t.Fatalf("emit(%d, %d): index/value mismatch", index, v)
 		}
@@ -325,9 +325,6 @@ func TestMergeOrder(t *testing.T) {
 		}(shard)
 	}
 	wg.Wait()
-	if !m.Done() || m.Pending() != 0 {
-		t.Fatalf("Done=%v Pending=%d after all adds", m.Done(), m.Pending())
-	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("emission order broken at %d: got %d", i, v)
@@ -338,7 +335,7 @@ func TestMergeOrder(t *testing.T) {
 	}
 }
 
-// Assign must walk the deterministic failover order and fall back to
+// View.Assign must walk the deterministic failover order and fall back to
 // self when nobody is acceptable.
 func TestAssignFailover(t *testing.T) {
 	self := "http://a:1"
@@ -351,20 +348,21 @@ func TestAssignFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fmt.Sprintf("%064x", 99)
-	owner := c.Assign(key, nil)
-	if owner != c.Owner(key) {
+	v := c.CurrentView()
+	owner := v.Assign(key, nil)
+	if owner != v.Owner(key) {
 		t.Fatal("nil-predicate Assign is not Owner")
 	}
 	// Excluding the owner yields a different member, deterministically.
-	alt := c.Assign(key, func(p *Peer) bool { return p != owner })
+	alt := v.Assign(key, func(p *Peer) bool { return p != owner })
 	if alt == owner {
 		t.Fatal("Assign returned the excluded owner")
 	}
-	if again := c.Assign(key, func(p *Peer) bool { return p != owner }); again != alt {
+	if again := v.Assign(key, func(p *Peer) bool { return p != owner }); again != alt {
 		t.Fatal("failover assignment is not deterministic")
 	}
 	// Nobody acceptable: work still lands somewhere (self).
-	if p := c.Assign(key, func(*Peer) bool { return false }); !p.Self() {
+	if p := v.Assign(key, func(*Peer) bool { return false }); !p.Self() {
 		t.Fatalf("all-rejected Assign = %s, want self", p.Name())
 	}
 }

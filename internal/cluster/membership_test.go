@@ -109,7 +109,7 @@ func testFleet(t *testing.T, rf int, servers ...*peerServer) *Cluster {
 func peerOf(t *testing.T, c *Cluster, ps *peerServer) *Peer {
 	t.Helper()
 	name := strings.TrimPrefix(ps.ts.URL, "http://")
-	for _, p := range c.Members() {
+	for _, p := range c.CurrentView().Members() {
 		if p.Name() == name {
 			return p
 		}
@@ -136,8 +136,8 @@ func findKey(t *testing.T, c *Cluster, ok func(v *View, key string) bool) string
 func TestViewEpochsJoinLeaveApply(t *testing.T) {
 	a := newPeerServer(t)
 	c := testFleet(t, 1, a)
-	if c.Epoch() != 0 || c.Size() != 2 {
-		t.Fatalf("boot view: epoch=%d size=%d, want 0/2", c.Epoch(), c.Size())
+	if c.CurrentView().Epoch() != 0 || c.CurrentView().Size() != 2 {
+		t.Fatalf("boot view: epoch=%d size=%d, want 0/2", c.CurrentView().Epoch(), c.CurrentView().Size())
 	}
 	peerA := peerOf(t, c, a)
 
@@ -251,7 +251,7 @@ func TestFetchTransportErrorVsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pa, pb *Peer
-	for _, p := range c.Members() {
+	for _, p := range c.CurrentView().Members() {
 		switch p.Name() {
 		case strings.TrimPrefix(deadURL, "http://"):
 			pa = p
@@ -300,20 +300,19 @@ func TestReplicateFanout(t *testing.T) {
 	key := findKey(t, c, func(v *View, k string) bool { return true })
 	c.Replicate(key, []byte("replicated"))
 
+	// Wait on the sender's counter, which settles after the replicas
+	// have stored the entry and answered.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		da, oka := a.get(key)
-		db, okb := b.get(key)
-		if oka && okb {
-			if string(da) != "replicated" || string(db) != "replicated" {
-				t.Fatalf("replicas hold %q / %q", da, db)
-			}
-			break
-		}
+	for c.ReplStats().Sent < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas never received the entry (a=%v b=%v)", oka, okb)
+			t.Fatalf("replicas never acknowledged the entry: %+v", c.ReplStats())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	da, oka := a.get(key)
+	db, okb := b.get(key)
+	if !oka || !okb || string(da) != "replicated" || string(db) != "replicated" {
+		t.Fatalf("replicas hold %q (%v) / %q (%v)", da, oka, db, okb)
 	}
 	if st := c.ReplStats(); st.Sent != 2 {
 		t.Fatalf("repl stats = %+v, want 2 sent", st)
@@ -365,18 +364,17 @@ func TestReplicateAntiEntropyOnRecovery(t *testing.T) {
 	pa.up.Store(true)
 	c.recoverPeer(pa)
 
+	// Wait on the sender's counter: the peer stores the key before it
+	// answers, so the counter is the last thing to settle.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if d, ok := a.get(key); ok {
-			if string(d) != "late" {
-				t.Fatalf("replica holds %q, want the local store's bytes", d)
-			}
-			break
-		}
+	for c.ReplStats().Sent == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("anti-entropy never delivered the parked key")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if d, ok := a.get(key); !ok || string(d) != "late" {
+		t.Fatalf("replica holds %q (%v), want the local store's bytes", d, ok)
 	}
 	if st := c.ReplStats(); st.Requeued != 1 || st.Sent != 1 || st.Pending != 0 {
 		t.Fatalf("repl stats after recovery = %+v, want requeued=1 sent=1", st)

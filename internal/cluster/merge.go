@@ -18,15 +18,14 @@ type Merge[V any] struct {
 	mu   sync.Mutex
 	buf  map[int]V
 	next int
-	n    int
 }
 
-// NewMerge returns a Merge over indices 0..total-1. emit is called in
-// strict index order, serialized under the Merge's lock (so it may
-// write to a shared stream without further locking, but must not call
-// back into the Merge).
-func NewMerge[V any](total int, emit func(index int, v V)) *Merge[V] {
-	return &Merge[V]{emit: emit, buf: make(map[int]V), n: total}
+// NewMerge returns a Merge over indices counting up from 0. emit is
+// called in strict index order, serialized under the Merge's lock (so
+// it may write to a shared stream without further locking, but must not
+// call back into the Merge).
+func NewMerge[V any](emit func(index int, v V)) *Merge[V] {
+	return &Merge[V]{emit: emit, buf: make(map[int]V)}
 }
 
 // Add delivers the record for one global index, emitting it — and any
@@ -45,19 +44,4 @@ func (m *Merge[V]) Add(index int, v V) {
 		m.emit(m.next, r)
 		m.next++
 	}
-}
-
-// Done reports whether every index has been emitted.
-func (m *Merge[V]) Done() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.next >= m.n
-}
-
-// Pending returns how many delivered records are still waiting for a
-// predecessor.
-func (m *Merge[V]) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.buf)
 }

@@ -1,15 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
-
-	"sdt/internal/store"
 )
 
 // Local is the strictly-local store view the replicator reads from when
@@ -214,24 +209,8 @@ func (c *Cluster) replSend(t replTask) {
 
 // putEntry PUTs one sealed entry to peer's replica endpoint.
 func (c *Cluster) putEntry(p *Peer, key string, data []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		p.url+PeerResultPath+key, bytes.NewReader(store.SealEntry(data)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("replica answered %s", resp.Status)
-	}
-	return nil
+	_, _, err := c.do(context.Background(), peerReq{method: http.MethodPut, url: p.url + PeerResultPath + key, body: data, sealed: true})
+	return err
 }
 
 // recoverPeer re-enqueues peer's pending keys after the prober saw it

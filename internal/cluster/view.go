@@ -46,10 +46,6 @@ func (v *View) MemberURLs() []string {
 // Size returns the number of members, self included.
 func (v *View) Size() int { return len(v.members) }
 
-// RF returns the effective replication factor (clamped to the fleet
-// size, never below 1).
-func (v *View) RF() int { return v.rf }
-
 // Self returns the local node's Peer.
 func (v *View) Self() *Peer { return v.self }
 

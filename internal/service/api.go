@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 
 	"sdt/internal/asm"
 	"sdt/internal/cluster"
@@ -92,6 +93,12 @@ func (req *RunRequest) compile() (*program.Image, error) {
 func (req *RunRequest) key(img *program.Image) string {
 	h := sha256.New()
 	img.WriteTo(h)
+	return req.keyAfter(h)
+}
+
+// keyAfter finishes req's key from h, a sha256 that has hashed exactly
+// the image bytes.
+func (req *RunRequest) keyAfter(h hash.Hash) string {
 	fmt.Fprintf(h, "|%s|%s|%d|%d|cm%d", req.Arch, req.Mech, req.Seed, req.Limit, hostarch.CostModelVersion)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -248,12 +255,8 @@ type MemberChange struct {
 
 // MembershipUpdate is the body of POST /v1/cluster/membership — the
 // authoritative membership at one ring epoch, broadcast by whichever
-// node served a join or leave. Nodes apply it only if the epoch is
-// newer than their current view.
-type MembershipUpdate struct {
-	Epoch uint64   `json:"epoch"`
-	Peers []string `json:"peers"`
-}
+// node served a join or leave (cluster.Broadcast sends it).
+type MembershipUpdate = cluster.MembershipUpdate
 
 // MembershipResponse answers the membership endpoints with the view now
 // in effect on the serving node.

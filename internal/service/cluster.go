@@ -1,9 +1,9 @@
 package service
 
-// Cluster endpoints: the peer-facing sealed-entry store, the peer-facing
-// sweep shard executor, and the client-facing sweep coordinator. The
-// protocol is documented in docs/CLUSTER.md; membership and the fetch
-// path live in internal/cluster.
+// Cluster sweep endpoints: the peer-facing sweep shard executor and the
+// client-facing sweep coordinator. The protocol is documented in
+// docs/CLUSTER.md; membership, the fetch path, journal shipping and
+// adoption live in internal/cluster.
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sdt/internal/cluster"
-	"sdt/internal/store"
 	"sdt/internal/sweep"
 )
 
@@ -67,24 +66,6 @@ type (
 		Total    int    `json:"total"`
 	}
 )
-
-// handlePeerResult serves the sealed entry for a locally stored result.
-// It reads through ByteStore.Get, which is strictly local — so a fleet
-// of nodes serving each other can never cascade a fetch into further
-// peer fetches. The sealed framing lets the fetching node verify
-// integrity exactly as it would a local disk read.
-func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	data, ok := s.store.Get(key)
-	if !ok {
-		s.countRequest(r, http.StatusNotFound)
-		http.Error(w, "no result stored under "+key, http.StatusNotFound)
-		return
-	}
-	s.countRequest(r, http.StatusOK)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(store.SealEntry(data))
-}
 
 // handleSweepShard executes a subset of a sweep matrix on behalf of a
 // cluster coordinator, streaming /v1/sweep-shaped records (with the
@@ -167,7 +148,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			err := s.adoptJournal(id)
 			if err != nil {
 				status, code := http.StatusInternalServerError, CodeInternal
-				if errors.Is(err, errNoJournal) {
+				if errors.Is(err, cluster.ErrNoJournal) {
 					status, code = http.StatusNotFound, CodeNotFound
 				}
 				s.writeError(w, r, status, code, fmt.Sprintf("adopting sweep %s: %v", id, err))
@@ -179,7 +160,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var shipper *journalShipper
+	var shipper *cluster.JournalShipper
 	if jr != nil {
 		if adopt != nil {
 			s.met.sweepsAdopted.Inc()
@@ -187,8 +168,16 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		if view != nil {
 			// Replicate the journal as it checkpoints, so this sweep is
 			// in turn adoptable if this coordinator dies.
-			if shipper = s.newJournalShipper(view, req.ID); shipper != nil {
-				jr.onPersist = shipper.push
+			shipper = s.cfg.Cluster.ShipJournal(view, req.ID, func(p *cluster.Peer, err error) {
+				if err != nil {
+					s.met.journalPushes.get(outcomeError).Inc()
+					s.cfg.Log.Printf("journal %s push to %s failed: %v", req.ID, p.Name(), err)
+					return
+				}
+				s.met.journalPushes.get(outcomeOK).Inc()
+			})
+			if shipper != nil {
+				jr.onPersist = shipper.Push
 			}
 		}
 	}
@@ -239,7 +228,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	writeRec(clusterStart{Type: "start", Total: len(cells), Resumed: len(replays)})
 
-	merge := cluster.NewMerge[clusterCell](len(cells), func(_ int, rec clusterCell) {
+	merge := cluster.NewMerge[clusterCell](func(_ int, rec clusterCell) {
 		writeRec(rec)
 	})
 
@@ -311,14 +300,10 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	// peer is excluded for the rest of the sweep, so the dispatch loop
 	// terminates: every round either finishes the matrix or shrinks the
 	// candidate set, and self always accepts work.
-	alive := make(map[string]bool)
-	peerByName := make(map[string]*cluster.Peer)
-	selfName := ""
+	alive := make(map[*cluster.Peer]bool)
 	if view != nil {
-		selfName = view.Self().Name()
 		for _, p := range view.Members() {
-			alive[p.Name()] = p.Up()
-			peerByName[p.Name()] = p
+			alive[p] = p.Up()
 		}
 	}
 	reassigned := 0
@@ -337,20 +322,20 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
-		shards := make(map[string][]idxCell)
+		shards := make(map[*cluster.Peer][]idxCell) // nil: the local engine, unclustered
 		for _, i := range idxs {
 			ic := pending[i]
-			name := selfName
+			var p *cluster.Peer
 			if view != nil {
-				name = view.Assign(ic.key, func(p *cluster.Peer) bool { return p.Self() || alive[p.Name()] }).Name()
+				p = view.Assign(ic.key, func(p *cluster.Peer) bool { return p.Self() || alive[p] })
 			}
-			shards[name] = append(shards[name], ic)
+			shards[p] = append(shards[p], ic)
 		}
 		mu.Unlock()
 
 		var wg sync.WaitGroup
-		for name, batch := range shards {
-			if view == nil || name == selfName {
+		for p, batch := range shards {
+			if p == nil || p.Self() {
 				// The self shard runs on the local engine. Unlike a peer
 				// dispatch it cannot fail as a unit, which is what
 				// guarantees this loop terminates.
@@ -371,10 +356,10 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 					s.cfg.Log.Printf("cluster sweep: shard on %s failed: %v", p.Name(), err)
 					p.MarkDown()
 					mu.Lock()
-					alive[p.Name()] = false
+					alive[p] = false
 					mu.Unlock()
 				}
-			}(peerByName[name], batch)
+			}(p, batch)
 		}
 		wg.Wait()
 	}
@@ -398,7 +383,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	if shipper != nil {
 		// Flush the final journal state to the successors (or, on full
 		// completion, tombstone their copies) before answering.
-		shipper.finish(complete)
+		shipper.Finish(complete)
 	}
 	writeRec(final)
 	s.met.clusterSweeps.get(outcomeLabel(context.Cause(ctx))).Inc()
@@ -436,7 +421,9 @@ func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepR
 		return err
 	}
 	hr.Header.Set("Content-Type", "application/json")
-	resp, err := s.shardClient().Do(hr)
+	// Shard streams are long-lived: the request is bounded by ctx, not
+	// by the cluster's FetchTimeout.
+	resp, err := s.cfg.Cluster.HTTPClient().Do(hr)
 	if err != nil {
 		return err
 	}
@@ -477,16 +464,4 @@ func (s *Server) dispatchShard(ctx context.Context, p *cluster.Peer, req *SweepR
 			return nil
 		}
 	}
-}
-
-// shardClient is the HTTP client used for shard dispatch: the
-// cluster's (so tests and operators configure one transport for all
-// peer traffic), falling back to the default client. Shard streams are
-// long-lived, so requests are bounded by their context, not a client
-// timeout.
-func (s *Server) shardClient() *http.Client {
-	if c := s.cfg.Cluster; c != nil {
-		return c.HTTPClient()
-	}
-	return http.DefaultClient
 }

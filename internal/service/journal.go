@@ -134,8 +134,8 @@ func (j *sweepJournal) record(index int, key string) {
 	j.persist()
 }
 
-// persist writes the journal atomically (temp file + rename), reporting
-// failures — including injected ones — through onErr.
+// persist writes the journal atomically, reporting failures —
+// including injected ones — through onErr.
 func (j *sweepJournal) persist() {
 	if j.faults != nil {
 		if err := j.faults.Fail(siteJournal); err != nil {
@@ -145,25 +145,7 @@ func (j *sweepJournal) persist() {
 	}
 	data, err := json.Marshal(j.state)
 	if err == nil {
-		err = os.MkdirAll(filepath.Dir(j.path), 0o755)
-	}
-	var tmp *os.File
-	if err == nil {
-		tmp, err = os.CreateTemp(filepath.Dir(j.path), "."+j.state.ID+".tmp*")
-	}
-	if err == nil {
-		_, werr := tmp.Write(data)
-		cerr := tmp.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp.Name(), j.path)
-		}
-		if werr != nil {
-			os.Remove(tmp.Name())
-		}
-		err = werr
+		err = writeFileAtomic(j.path, data)
 	}
 	if err != nil {
 		j.onErr(fmt.Errorf("writing sweep journal %s: %w", j.state.ID, err))
@@ -179,4 +161,36 @@ func (j *sweepJournal) remove() {
 	if err := os.Remove(j.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		j.onErr(fmt.Errorf("removing sweep journal %s: %w", j.state.ID, err))
 	}
+}
+
+// isJournalFor reports whether data is a journal file for sweep id:
+// what a replicated or adopted copy must be before it is stored.
+func isJournalFor(data []byte, id string) bool {
+	var jf journalFile
+	return json.Unmarshal(data, &jf) == nil && jf.ID == id
+}
+
+// writeFileAtomic writes data through a temp file and a rename, so a
+// crash leaves the old file or the new one, never a torn one.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+	}
+	return werr
 }

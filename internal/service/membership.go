@@ -1,113 +1,87 @@
 package service
 
-// Dynamic membership and coordinator-failover plumbing: the
-// admin-guarded join/leave/membership endpoints that rebuild the ring
-// without restarting any daemon, the peer-facing replica-write and
-// journal endpoints, and the journal shipper that makes a coordinator's
-// sweep checkpoint adoptable by a survivor. Protocol in docs/CLUSTER.md.
+// The membership and peer endpoints: the admin-guarded
+// join/leave/membership endpoints that rebuild the ring without
+// restarting any daemon, and the peer-facing sealed-entry and journal
+// endpoints. The requests a node sends to its peers (fetches, replica
+// and journal pushes, journal adoption, membership broadcast) are made
+// by internal/cluster. Protocol in docs/CLUSTER.md.
 
 import (
-	"bytes"
-	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"os"
+	"path"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"sdt/internal/cluster"
 	"sdt/internal/store"
 )
 
-// adminOK reports whether the request carries the configured admin
-// token (X-Admin-Token or Authorization bearer). With no token
-// configured the admin surface is disabled and nothing passes.
-func (s *Server) adminOK(r *http.Request) bool {
-	token := s.cfg.AdminToken
-	if token == "" {
-		return false
-	}
-	if h := r.Header.Get("X-Admin-Token"); h != "" {
-		return subtle.ConstantTimeCompare([]byte(h), []byte(token)) == 1
-	}
-	if h := r.Header.Get("Authorization"); h != "" {
-		return subtle.ConstantTimeCompare([]byte(h), []byte("Bearer "+token)) == 1
-	}
-	return false
-}
-
-// requireAdmin writes the 403 for a rejected admin request and reports
-// whether the caller may proceed.
-func (s *Server) requireAdmin(w http.ResponseWriter, r *http.Request) bool {
-	if s.adminOK(r) {
-		return true
-	}
-	msg := "admin token mismatch"
-	if s.cfg.AdminToken == "" {
-		msg = "membership endpoints are disabled (no -admin-token configured)"
-	}
-	s.writeError(w, r, http.StatusForbidden, CodeForbidden, msg)
-	return false
-}
-
-// decodeMemberChange parses a join/leave body.
-func (s *Server) decodeMemberChange(w http.ResponseWriter, r *http.Request) (MemberChange, bool) {
-	var req MemberChange
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
-		return req, false
-	}
-	if req.URL == "" {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "url must be non-empty")
-		return req, false
-	}
-	return req, true
-}
-
-// handleJoin adds a member to the ring (epoch+1) and broadcasts the new
-// membership to every node that appears in the old or new view — the
-// joiner included, so it adopts the fleet's epoch instead of its boot
-// view.
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	s.handleMemberChange(w, r, "join")
-}
-
-// handleLeave removes a member from the ring (epoch+1). The broadcast
-// reaches the removed node too (it is in the old view), so it installs
-// a solo view and knows it is out — but keeps serving its store, which
-// is what lets its keys migrate lazily to their new owners before it is
-// actually shut down.
-func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	s.handleMemberChange(w, r, "leave")
-}
-
-func (s *Server) handleMemberChange(w http.ResponseWriter, r *http.Request, op string) {
-	c := s.cfg.Cluster
+// adminCluster guards the membership routes: the node must be
+// clustered, and the request must carry the configured admin token (in
+// X-Admin-Token or as an Authorization bearer). With no token
+// configured the routes are disabled. It returns nil once it has
+// written the refusal.
+func (s *Server) adminCluster(w http.ResponseWriter, r *http.Request) *cluster.Cluster {
+	c, token := s.cfg.Cluster, s.cfg.AdminToken
 	if c == nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "this node is not clustered")
+		return nil
+	}
+	var ok bool
+	if h := r.Header.Get("X-Admin-Token"); h != "" {
+		ok = subtle.ConstantTimeCompare([]byte(h), []byte(token)) == 1
+	} else if h := r.Header.Get("Authorization"); h != "" {
+		ok = subtle.ConstantTimeCompare([]byte(h), []byte("Bearer "+token)) == 1
+	}
+	switch {
+	case token == "":
+		s.writeError(w, r, http.StatusForbidden, CodeForbidden, "membership endpoints are disabled (no -admin-token configured)")
+	case !ok:
+		s.writeError(w, r, http.StatusForbidden, CodeForbidden, "admin token mismatch")
+	default:
+		return c
+	}
+	return nil
+}
+
+// decodeMemberChange reads a join/leave body.
+func (s *Server) decodeMemberChange(w http.ResponseWriter, r *http.Request) (MemberChange, error) {
+	var req MemberChange
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return req, err
+	}
+	if req.URL == "" {
+		return req, errors.New("url must be non-empty")
+	}
+	return req, nil
+}
+
+// handleMemberChange serves POST /v1/cluster/join and /leave. Join adds
+// a member to the ring (epoch+1); leave removes one. The new membership
+// is broadcast to every node in the old or new view: the joiner adopts
+// the fleet's epoch instead of its boot view, and a removed node
+// installs a solo view and knows it is out — but keeps serving its
+// store, which is what lets its keys migrate lazily to their new owners
+// before it is actually shut down.
+func (s *Server) handleMemberChange(w http.ResponseWriter, r *http.Request) {
+	c := s.adminCluster(w, r)
+	if c == nil {
 		return
 	}
-	if !s.requireAdmin(w, r) {
+	req, err := s.decodeMemberChange(w, r)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
 	}
-	req, ok := s.decodeMemberChange(w, r)
-	if !ok {
-		return
-	}
+	op := path.Base(r.URL.Path)
 	old := c.CurrentView()
-	var (
-		v   *cluster.View
-		err error
-	)
+	var v *cluster.View
 	if op == "join" {
 		v, err = c.Join(req.URL)
 	} else {
@@ -118,7 +92,9 @@ func (s *Server) handleMemberChange(w http.ResponseWriter, r *http.Request, op s
 		return
 	}
 	s.met.membershipChanges.get(fmt.Sprintf("op=%q", op)).Inc()
-	s.broadcastMembership(r.Context(), old, v)
+	if err := c.Broadcast(r.Context(), old, v, s.cfg.AdminToken); err != nil {
+		s.cfg.Log.Printf("cluster %s %s: %v", op, req.URL, err)
+	}
 	s.cfg.Log.Printf("cluster %s %s: epoch %d -> %d, %d members",
 		op, req.URL, old.Epoch(), v.Epoch(), v.Size())
 	s.writeJSON(w, r, http.StatusOK, MembershipResponse{Epoch: v.Epoch(), Members: v.MemberURLs()})
@@ -129,20 +105,13 @@ func (s *Server) handleMemberChange(w http.ResponseWriter, r *http.Request, op s
 // with the shared token); stale epochs are acknowledged without effect,
 // which makes rebroadcasts and request races harmless.
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
-	c := s.cfg.Cluster
+	c := s.adminCluster(w, r)
 	if c == nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "this node is not clustered")
-		return
-	}
-	if !s.requireAdmin(w, r) {
 		return
 	}
 	var req MembershipUpdate
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
+	if err := s.decodeBody(w, r, &req); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
 	}
 	v, changed, err := c.Apply(req.Epoch, req.Peers)
@@ -155,56 +124,6 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Log.Printf("cluster membership applied: epoch %d, %d members", v.Epoch(), v.Size())
 	}
 	s.writeJSON(w, r, http.StatusOK, MembershipResponse{Epoch: v.Epoch(), Members: v.MemberURLs()})
-}
-
-// broadcastMembership pushes the new view to every node in the union of
-// the old and new memberships, concurrently and best-effort: a node
-// that misses the broadcast (down, racing) converges later — any member
-// can re-POST /v1/cluster/membership, and epoch comparison makes the
-// operation idempotent. Waits for the fan-out so the admin response
-// means "the reachable fleet has the new ring".
-func (s *Server) broadcastMembership(ctx context.Context, old, v *cluster.View) {
-	c := s.cfg.Cluster
-	update, err := json.Marshal(MembershipUpdate{Epoch: v.Epoch(), Peers: v.MemberURLs()})
-	if err != nil {
-		return
-	}
-	urls := make(map[string]bool)
-	for _, p := range old.Members() {
-		if !p.Self() {
-			urls[p.URL()] = true
-		}
-	}
-	for _, p := range v.Members() {
-		if !p.Self() {
-			urls[p.URL()] = true
-		}
-	}
-	var wg sync.WaitGroup
-	for u := range urls {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-				u+"/v1/cluster/membership", bytes.NewReader(update))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("X-Admin-Token", s.cfg.AdminToken)
-			resp, err := c.HTTPClient().Do(req)
-			if err != nil {
-				s.cfg.Log.Printf("membership broadcast to %s failed: %v", u, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				s.cfg.Log.Printf("membership broadcast to %s answered %s", u, resp.Status)
-			}
-		}(u)
-	}
-	wg.Wait()
 }
 
 // ---- peer replica writes ----
@@ -224,6 +143,46 @@ func validStoreKey(key string) bool {
 	return true
 }
 
+// writeSealed answers a peer GET with data sealed like a store entry,
+// so the fetching node can verify integrity exactly as it would a local
+// disk read.
+func (s *Server) writeSealed(w http.ResponseWriter, r *http.Request, data []byte) {
+	s.countRequest(r, http.StatusOK)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(store.SealEntry(data))
+}
+
+// readSealed reads and unseals a peer PUT body (what names it in
+// errors). On failure it has written the 400.
+func (s *Server) readSealed(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "reading "+what+": "+err.Error())
+		return nil, false
+	}
+	data, err := store.OpenEntry(raw)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "sealed "+what+" rejected: "+err.Error())
+		return nil, false
+	}
+	return data, true
+}
+
+// handlePeerResult serves the sealed entry for a locally stored result.
+// It reads through ByteStore.Get, which is strictly local — so a fleet
+// of nodes serving each other can never cascade a fetch into further
+// peer fetches.
+func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	data, ok := s.store.Get(key)
+	if !ok {
+		s.countRequest(r, http.StatusNotFound)
+		http.Error(w, "no result stored under "+key, http.StatusNotFound)
+		return
+	}
+	s.writeSealed(w, r, data)
+}
+
 // handlePeerResultPut accepts one replicated sealed entry from a peer.
 // The seal is verified before the bytes are admitted, and the write
 // goes through Put — never Do — so an accepted replica is stored
@@ -235,14 +194,8 @@ func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "malformed store key")
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "reading entry: "+err.Error())
-		return
-	}
-	data, err := store.OpenEntry(raw)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "sealed entry rejected: "+err.Error())
+	data, ok := s.readSealed(w, r, "entry")
+	if !ok {
 		return
 	}
 	s.store.Put(key, data)
@@ -277,8 +230,7 @@ func (s *Server) checkJournalReq(w http.ResponseWriter, r *http.Request) (string
 	return id, true
 }
 
-// handlePeerJournalGet serves a locally held sweep journal, sealed like
-// a store entry so the fetching node can verify integrity.
+// handlePeerJournalGet serves a locally held sweep journal, sealed.
 func (s *Server) handlePeerJournalGet(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.checkJournalReq(w, r)
 	if !ok {
@@ -289,9 +241,7 @@ func (s *Server) handlePeerJournalGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, CodeNotFound, "no journal stored under "+id)
 		return
 	}
-	s.countRequest(r, http.StatusOK)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(store.SealEntry(data))
+	s.writeSealed(w, r, data)
 }
 
 // handlePeerJournalPut accepts a coordinator's replicated checkpoint.
@@ -302,18 +252,11 @@ func (s *Server) handlePeerJournalPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "reading journal: "+err.Error())
+	data, ok := s.readSealed(w, r, "journal")
+	if !ok {
 		return
 	}
-	data, err := store.OpenEntry(raw)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "sealed journal rejected: "+err.Error())
-		return
-	}
-	var jf journalFile
-	if err := json.Unmarshal(data, &jf); err != nil || jf.ID != id {
+	if !isJournalFor(data, id) {
 		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "journal body does not match id "+id)
 		return
 	}
@@ -341,242 +284,24 @@ func (s *Server) handlePeerJournalDelete(w http.ResponseWriter, r *http.Request)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeFileAtomic writes data via temp file + rename (the same torn-write
-// guarantee the journal itself uses).
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".adopt*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-	}
-	return werr
-}
-
-// journalKey is the ring key a sweep's journal replicates under. The
-// prefix segregates journal placement from result placement; the id
-// makes it deterministic, so an adopting survivor walks the same
-// successor order the dead coordinator shipped to.
-func journalKey(id string) string { return "journal|" + id }
-
-// journalTargets picks the peers a coordinator ships its journal to:
-// the first max(1, RF-1) non-self members in the journal key's
-// successor order on the pinned view. Even an RF=1 fleet gets one
-// journal replica — coordinator failover must not depend on data
-// replication being enabled.
-func journalTargets(v *cluster.View, id string) []*cluster.Peer {
-	n := v.RF() - 1
-	if n < 1 {
-		n = 1
-	}
-	var out []*cluster.Peer
-	for _, p := range v.Successors(journalKey(id)) {
-		if p.Self() {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-// journalShipper replicates a coordinator's checkpoint journal to its
-// ring successors as it persists, making the sweep adoptable if the
-// coordinator dies. Shipping is asynchronous and latest-wins: the
-// journal is a cumulative snapshot, so only the newest state matters
-// and a slow successor coalesces intermediate versions instead of
-// queueing them. finish flushes the last state and, when the sweep
-// completed, replaces it with a DELETE tombstone.
-type journalShipper struct {
-	s        *Server
-	id       string
-	targets  []*cluster.Peer
-	ch       chan []byte
-	done     chan struct{}
-	complete bool
-}
-
-// newJournalShipper starts the pump. Returns nil when there is nowhere
-// to ship (single-node, or no live successors at start — targets are
-// fixed for the sweep, like its partitioning view).
-func (s *Server) newJournalShipper(v *cluster.View, id string) *journalShipper {
-	targets := journalTargets(v, id)
-	if len(targets) == 0 {
-		return nil
-	}
-	js := &journalShipper{
-		s:       s,
-		id:      id,
-		targets: targets,
-		ch:      make(chan []byte, 1),
-		done:    make(chan struct{}),
-	}
-	go js.run()
-	return js
-}
-
-// push hands the shipper a freshly persisted journal (single producer:
-// the coordinator's finalize path, serialized by its mutex).
-func (js *journalShipper) push(data []byte) {
-	select {
-	case <-js.ch: // drop the stale snapshot
-	default:
-	}
-	js.ch <- data
-}
-
-func (js *journalShipper) run() {
-	defer close(js.done)
-	for data := range js.ch {
-		js.ship(data)
-	}
-	if js.complete {
-		js.tombstone()
-	}
-}
-
-// finish flushes any final snapshot and stops the pump. complete=true
-// (the sweep finished, the local journal was removed) sends DELETE
-// tombstones so successors do not keep an adoptable journal for a
-// sweep that no longer exists.
-func (js *journalShipper) finish(complete bool) {
-	js.complete = complete
-	close(js.ch)
-	<-js.done
-}
-
-func (js *journalShipper) ship(data []byte) {
-	c := js.s.cfg.Cluster
-	sealed := store.SealEntry(data)
-	for _, p := range js.targets {
-		req, err := http.NewRequest(http.MethodPut,
-			p.URL()+cluster.PeerJournalPath+js.id, bytes.NewReader(sealed))
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.HTTPClient().Do(req)
-		if err != nil {
-			js.s.met.journalPushes.get(outcomeError).Inc()
-			js.s.cfg.Log.Printf("journal %s push to %s failed: %v", js.id, p.Name(), err)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			js.s.met.journalPushes.get(outcomeError).Inc()
-			js.s.cfg.Log.Printf("journal %s push to %s answered %s", js.id, p.Name(), resp.Status)
-			continue
-		}
-		js.s.met.journalPushes.get(outcomeOK).Inc()
-	}
-}
-
-func (js *journalShipper) tombstone() {
-	c := js.s.cfg.Cluster
-	for _, p := range js.targets {
-		req, err := http.NewRequest(http.MethodDelete, p.URL()+cluster.PeerJournalPath+js.id, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := c.HTTPClient().Do(req)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// errNoJournal marks an adoption attempt that found no journal anywhere
-// — neither locally nor on any reachable peer.
-var errNoJournal = errors.New("service: no journal found for adoption")
-
 // adoptJournal materializes a dead coordinator's replicated journal
 // locally so openSweepJournal can resume from it. If a local copy
 // already exists (this node was a shipping target, or the coordinator
-// itself restarting) it is used as-is; otherwise the journal key's
-// successors are asked in ring order. The fetched copy is seal-verified
-// and ID-checked before it is written; digest validation against the
-// resubmitted request happens in openSweepJournal, exactly as for a
-// local resume.
+// itself restarting) it is used as-is; otherwise the cluster walks the
+// journal's successors for a seal-verified copy bound to id. Digest
+// validation against the resubmitted request happens in
+// openSweepJournal, exactly as for a local resume.
 func (s *Server) adoptJournal(id string) error {
 	if _, err := os.Stat(s.journalPath(id)); err == nil {
 		return nil
 	}
 	c := s.cfg.Cluster
 	if c == nil {
-		return errNoJournal
+		return cluster.ErrNoJournal
 	}
-	v := c.CurrentView()
-	for _, p := range v.Successors(journalKey(id)) {
-		if p.Self() || !p.Up() {
-			continue
-		}
-		data, err := s.fetchJournal(p, id)
-		if err != nil {
-			s.cfg.Log.Printf("adopt %s: fetch from %s failed: %v", id, p.Name(), err)
-			continue
-		}
-		if data == nil {
-			continue // peer answered: it has no copy
-		}
-		var jf journalFile
-		if err := json.Unmarshal(data, &jf); err != nil || jf.ID != id {
-			s.cfg.Log.Printf("adopt %s: journal from %s rejected (id mismatch or malformed)", id, p.Name())
-			continue
-		}
-		if err := writeFileAtomic(s.journalPath(id), data); err != nil {
-			return err
-		}
-		return nil
-	}
-	return errNoJournal
-}
-
-// fetchJournal retrieves and unseals id's journal from p. A 404 returns
-// (nil, nil): the peer answered but holds no copy.
-func (s *Server) fetchJournal(p *cluster.Peer, id string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		p.URL()+cluster.PeerJournalPath+id, nil)
+	data, err := c.FetchJournal(id, func(data []byte) bool { return isJournalFor(data, id) })
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := s.cfg.Cluster.HTTPClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("peer answered %s", resp.Status)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	return store.OpenEntry(raw)
+	return writeFileAtomic(s.journalPath(id), data)
 }

@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,4 +465,232 @@ func TestClusterSweepSpansMembershipChange(t *testing.T) {
 	if h.ClusterEpoch != 1 || len(h.Cluster) != 4 {
 		t.Fatalf("post-sweep health = epoch %d, %d members, want the joined ring", h.ClusterEpoch, len(h.Cluster))
 	}
+}
+
+// newNodeWithSilentPeer boots one clustered node (FetchTimeout 500 ms)
+// next to a fake fleet member that answers /healthz, refuses shards
+// with a 500, 404s everything else, and never answers the requests
+// silent matches. With member set the fake is in the boot membership;
+// otherwise the node starts solo. The fake is released before any
+// server closes: httptest.Server.Close waits for handlers, and a
+// handler stuck on the silent peer would deadlock it.
+func newNodeWithSilentPeer(t *testing.T, member bool, silent func(r *http.Request) bool, mut func(cfg *Config)) (*clusterNode, *httptest.Server) {
+	t.Helper()
+	release := make(chan struct{})
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case silent(r):
+			<-release
+		case r.URL.Path == "/healthz":
+			w.WriteHeader(http.StatusOK)
+		case r.URL.Path == "/v1/sweep/shard":
+			http.Error(w, "shard refused", http.StatusInternalServerError)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(fake.Close)
+	sw := &switchable{}
+	ts := httptest.NewServer(sw)
+	peers := []string{ts.URL}
+	if member {
+		peers = append(peers, fake.URL)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Self:          ts.URL,
+		Peers:         peers,
+		ProbeInterval: -1,
+		FetchTimeout:  500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 2, StoreDir: t.TempDir(), Cluster: cl}
+	if mut != nil {
+		mut(&cfg)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.set(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	t.Cleanup(func() { close(release) }) // runs first
+	return &clusterNode{s: s, ts: ts, cl: cl}, fake
+}
+
+// postWithin POSTs body to url (with the admin token) and returns the
+// status and the response body, failing the test if they are not in
+// after d. The request then finishes in the background once the silent
+// peer is released, so it must not touch t.
+func postWithin(t *testing.T, d time.Duration, url string, body any) (int, []byte) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		req.Header.Set("X-Admin-Token", testAdminToken)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		got <- answer{resp.StatusCode, data, err}
+	}()
+	select {
+	case a := <-got:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		return a.status, a.body
+	case <-time.After(d):
+		t.Fatalf("POST %s still open after %s", url, d)
+		return 0, nil
+	}
+}
+
+// A journal successor that accepts the connection and never answers
+// must not hold back a checkpointed cluster sweep's done record: every
+// journal push is bounded by FetchTimeout.
+func TestClusterSweepDoneWithSilentJournalSuccessor(t *testing.T) {
+	node, _ := newNodeWithSilentPeer(t, true, func(r *http.Request) bool {
+		return r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, cluster.PeerJournalPath)
+	}, nil)
+	req := clusterMatrix
+	req.ID = "silent-successor"
+	status, body := postWithin(t, 5*time.Second, node.ts.URL+"/v1/cluster/sweep", req)
+	if status != http.StatusOK {
+		t.Fatalf("sweep status = %d: %s", status, body)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var done clusterDone
+	if err := json.Unmarshal(lines[len(lines)-1], &done); err != nil || done.Type != "done" {
+		t.Fatalf("last record %s, want the done record", lines[len(lines)-1])
+	}
+	if done.Done != done.Total || done.Errors != 0 {
+		t.Fatalf("done = %+v, want every cell run locally", done)
+	}
+	if got := node.s.met.journalPushes.get(outcomeError).Value(); got == 0 {
+		t.Fatal("no journal push to the silent successor was counted as failed")
+	}
+}
+
+// A join whose membership broadcast reaches a member that never answers
+// still returns: the broadcast is bounded by FetchTimeout.
+func TestClusterJoinWithSilentMember(t *testing.T) {
+	node, fake := newNodeWithSilentPeer(t, false, func(r *http.Request) bool {
+		return r.URL.Path == cluster.MembershipPath
+	}, func(cfg *Config) { cfg.AdminToken = testAdminToken })
+	status, body := postWithin(t, 5*time.Second, node.ts.URL+"/v1/cluster/join", MemberChange{URL: fake.URL})
+	var mr MembershipResponse
+	if status != http.StatusOK || json.Unmarshal(body, &mr) != nil || mr.Epoch != 1 || len(mr.Members) != 2 {
+		t.Fatalf("join = %d %s, want epoch 1 with 2 members", status, body)
+	}
+}
+
+// badMemberChanges are join/leave bodies the membership routes refuse
+// with a 400 before touching the ring.
+var badMemberChanges = []struct{ name, body string }{
+	{"empty url", `{}`},
+	{"unknown field", `{"url":"http://a:1","bogus":1}`},
+	{"malformed JSON", `{"url":`},
+	{"not an object", `["http://a:1"]`},
+	{"bad url", `{"url":"ftp://a:1"}`},
+}
+
+func TestMemberChangeBadRequests(t *testing.T) {
+	node := newSoloNode(t, func(cfg *Config) { cfg.AdminToken = testAdminToken })
+	for _, route := range []string{"/v1/cluster/join", "/v1/cluster/leave"} {
+		for _, tc := range badMemberChanges {
+			req, _ := http.NewRequest(http.MethodPost, node.ts.URL+route, strings.NewReader(tc.body))
+			req.Header.Set("X-Admin-Token", testAdminToken)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400", route, tc.name, resp.StatusCode)
+				continue
+			}
+			if e := decodeError(t, data); e.Code != CodeInvalidRequest {
+				t.Errorf("%s %s: code = %q", route, tc.name, e.Code)
+			}
+		}
+	}
+	if _, h := getHealth(t, node.ts); h.ClusterEpoch != 0 {
+		t.Fatalf("refused member changes moved the ring to epoch %d", h.ClusterEpoch)
+	}
+}
+
+// FuzzDecodeMemberChange feeds arbitrary bodies to the join/leave and
+// membership-update decoders and applies what they accept to a fresh
+// two-member cluster. Nothing may panic; an accepted join/leave names a
+// URL, a join that succeeds adds exactly one member, and an update that
+// applies installs its epoch with self still in the view.
+func FuzzDecodeMemberChange(f *testing.F) {
+	for _, tc := range badMemberChanges {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(`{"url":"http://127.0.0.1:3"}`))
+	f.Add([]byte(`{"epoch":2,"peers":["http://127.0.0.1:1","http://127.0.0.1:3"]}`))
+	f.Add([]byte(`{"epoch":1,"peers":["http://127.0.0.1:2"]}`))
+	s := &Server{cfg: Config{}.withDefaults()}
+	const self = "http://127.0.0.1:1"
+	fresh := func(t *testing.T) *cluster.Cluster {
+		c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self, "http://127.0.0.1:2"}, ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	post := func(body []byte) (http.ResponseWriter, *http.Request) {
+		return httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if mc, err := s.decodeMemberChange(post(body)); err == nil {
+			if mc.URL == "" {
+				t.Fatalf("accepted %.80q with no url", body)
+			}
+			if v, err := fresh(t).Join(mc.URL); err == nil && (v.Size() != 3 || v.Epoch() != 1) {
+				t.Fatalf("join %q = %d members at epoch %d, want 3 at 1", mc.URL, v.Size(), v.Epoch())
+			}
+			if v, err := fresh(t).Leave(mc.URL); err == nil && v.Size() != 1 {
+				t.Fatalf("leave %q left %d members, want 1", mc.URL, v.Size())
+			}
+		}
+		var u MembershipUpdate
+		w, r := post(body)
+		if err := s.decodeBody(w, r, &u); err != nil {
+			return
+		}
+		v, changed, err := fresh(t).Apply(u.Epoch, u.Peers)
+		if err != nil {
+			return
+		}
+		if changed != (u.Epoch > 0) || v.Epoch() != u.Epoch {
+			t.Fatalf("apply epoch %d: changed=%v, view at epoch %d", u.Epoch, changed, v.Epoch())
+		}
+		if v.Self().URL() != self {
+			t.Fatalf("apply %.80q lost self: %s", body, v.Self().URL())
+		}
+	})
 }

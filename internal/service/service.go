@@ -136,7 +136,7 @@ const runLimit = 2_000_000_000
 type Server struct {
 	cfg      Config
 	store    *store.ByteStore
-	images   *store.Group[*program.Image] // sweep cells' assembled workloads, keyed name|scale
+	images   *store.Group[*cellImage] // sweep cells' assembled workloads, keyed name|scale
 	pool     *pool
 	met      *metrics
 	mux      *http.ServeMux
@@ -172,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		store:  st,
-		images: store.NewGroup[*program.Image](nil),
+		images: store.NewGroup[*cellImage](nil),
 		pool:   newPool(cfg.Workers, cfg.QueueDepth),
 		met:    newMetrics(),
 		mux:    http.NewServeMux(),
@@ -188,9 +188,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/peer/journal/{id}", s.handlePeerJournalGet)
 	s.mux.HandleFunc("PUT /v1/peer/journal/{id}", s.handlePeerJournalPut)
 	s.mux.HandleFunc("DELETE /v1/peer/journal/{id}", s.handlePeerJournalDelete)
-	s.mux.HandleFunc("POST /v1/cluster/join", s.handleJoin)
-	s.mux.HandleFunc("POST /v1/cluster/leave", s.handleLeave)
-	s.mux.HandleFunc("POST /v1/cluster/membership", s.handleMembership)
+	s.mux.HandleFunc("POST /v1/cluster/join", s.handleMemberChange)
+	s.mux.HandleFunc("POST /v1/cluster/leave", s.handleMemberChange)
+	s.mux.HandleFunc("POST "+cluster.MembershipPath, s.handleMembership)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.Cluster != nil {
@@ -276,21 +276,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
 	}
-	var req RunRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "+err.Error())
-		return
-	}
-	req.withDefaults()
-	if _, err := hostarch.ByName(req.Arch); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, err.Error())
-		return
-	}
-	if _, err := ib.Parse(req.Mech); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+	req, bad := s.decodeRun(w, r)
+	if bad != nil {
+		s.writeError(w, r, http.StatusBadRequest, bad.Code, bad.Message)
 		return
 	}
 	img, err := req.compile()
@@ -299,20 +287,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := req.key(img)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	data, hit, err := s.store.Do(ctx, key, func() ([]byte, error) {
-		return s.execute(ctx, key, img, &req)
-	})
+	data, hit, err := s.runStored(r.Context(), key, img, &req)
 	if err != nil {
 		status, code := mapError(err)
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -329,6 +304,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, resp)
 	s.cfg.Log.Printf("run %s %s/%s key=%s cached=%v elapsed=%s",
 		req.Name, req.Arch, req.Mech, key[:12], hit, time.Since(start).Round(time.Microsecond))
+}
+
+// decodeRun reads a /v1/run body, applies its defaults and checks its
+// arch and mechanism names. A refusal carries the 400's error code.
+func (s *Server) decodeRun(w http.ResponseWriter, r *http.Request) (RunRequest, *ErrorInfo) {
+	var req RunRequest
+	if err := s.decodeBody(w, r, &req); err != nil {
+		return req, &ErrorInfo{Code: CodeInvalidRequest, Message: err.Error()}
+	}
+	req.withDefaults()
+	if _, err := hostarch.ByName(req.Arch); err != nil {
+		return req, &ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}
+	}
+	if _, err := ib.Parse(req.Mech); err != nil {
+		return req, &ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}
+	}
+	return req, nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -364,7 +356,7 @@ func (s *Server) health() Health {
 	}
 	if c := s.cfg.Cluster; c != nil {
 		h.Cluster = c.Health()
-		h.ClusterEpoch = c.Epoch()
+		h.ClusterEpoch = c.CurrentView().Epoch()
 		h.Replication = c.ReplicationFactor()
 		rs := c.ReplStats()
 		h.ReplStats = &rs
@@ -446,7 +438,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 					fmt.Fprintf(w, "sdtd_peer_breaker_trips_total{peer=%q} %d\n", p.Name, p.BreakerTrips)
 				}
 			}
-			fmt.Fprintf(w, "# TYPE sdtd_cluster_ring_epoch gauge\nsdtd_cluster_ring_epoch %d\n", c.Epoch())
+			fmt.Fprintf(w, "# TYPE sdtd_cluster_ring_epoch gauge\nsdtd_cluster_ring_epoch %d\n", c.CurrentView().Epoch())
 			fmt.Fprintf(w, "# TYPE sdtd_replication_factor gauge\nsdtd_replication_factor %d\n", c.ReplicationFactor())
 			rs := c.ReplStats()
 			fmt.Fprintf(w, "# TYPE sdtd_replication_sent_total counter\nsdtd_replication_sent_total %d\n", rs.Sent)
@@ -474,6 +466,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- execution ----
+
+// runStored serves key from the store and, on a miss, executes img
+// under req within the request's timeout (TimeoutMS, else the default,
+// capped at MaxTimeout). /v1/run and every sweep cell share it, so they
+// share one cache entry per key and single-flight duplicates.
+func (s *Server) runStored(ctx context.Context, key string, img *program.Image, req *RunRequest) ([]byte, bool, error) {
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(ctx, min(timeout, s.cfg.MaxTimeout))
+	defer cancel()
+	return s.store.Do(ctx, key, func() ([]byte, error) {
+		return s.execute(ctx, key, img, req)
+	})
+}
 
 // execute submits the run to the pool and waits for it or for ctx. It is
 // always called inside the store's single-flight, so at most one execution
@@ -644,6 +652,17 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+}
+
+// decodeBody is the one JSON request decoder: it reads one value from
+// r's body, at most MaxBodyBytes, into v, refusing unknown fields.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {

@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sdt/internal/hostarch"
+	"sdt/internal/ib"
 )
 
 // quickSrc is a small returns-dense program that halts on its own.
@@ -173,20 +176,22 @@ func TestRunMiniC(t *testing.T) {
 	}
 }
 
+// badRuns are /v1/run bodies refused with a 400 and the given code.
+var badRuns = []struct {
+	name     string
+	req      RunRequest
+	wantCode string
+}{
+	{"bad arch", RunRequest{Source: quickSrc, Arch: "mips"}, CodeInvalidArgument},
+	{"bad mech", RunRequest{Source: quickSrc, Mech: "warp:9"}, CodeInvalidArgument},
+	{"bad asm", RunRequest{Source: "frobnicate r1, r2"}, CodeInvalidProgram},
+	{"bad minic", RunRequest{Lang: LangMiniC, Source: "func {"}, CodeInvalidProgram},
+	{"bad lang", RunRequest{Lang: "cobol", Source: quickSrc}, CodeInvalidProgram},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name     string
-		req      RunRequest
-		wantCode string
-	}{
-		{"bad arch", RunRequest{Source: quickSrc, Arch: "mips"}, CodeInvalidArgument},
-		{"bad mech", RunRequest{Source: quickSrc, Mech: "warp:9"}, CodeInvalidArgument},
-		{"bad asm", RunRequest{Source: "frobnicate r1, r2"}, CodeInvalidProgram},
-		{"bad minic", RunRequest{Lang: LangMiniC, Source: "func {"}, CodeInvalidProgram},
-		{"bad lang", RunRequest{Lang: "cobol", Source: quickSrc}, CodeInvalidProgram},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRuns {
 		status, data := submit(t, ts, tc.req)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", tc.name, status, data)
@@ -196,6 +201,41 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: code = %q, want %q", tc.name, e.Code, tc.wantCode)
 		}
 	}
+}
+
+// FuzzDecodeRun feeds arbitrary bodies to the /v1/run decoder. It must
+// never panic; a refusal is a request or argument error, and a body it
+// accepts has its defaults applied and names a known arch and a
+// mechanism spec that parses.
+func FuzzDecodeRun(f *testing.F) {
+	for _, tc := range badRuns {
+		raw, err := json.Marshal(tc.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"source":"halt","bogus":1}`))
+	f.Add([]byte(`{"source":"halt","arch":"arm-like","mech":"retcache+ibtc:128","timeout_ms":-1}`))
+	s := &Server{cfg: Config{}.withDefaults()}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, bad := s.decodeRun(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if bad != nil {
+			if bad.Code != CodeInvalidRequest && bad.Code != CodeInvalidArgument {
+				t.Fatalf("refused %.80q with code %q", body, bad.Code)
+			}
+			return
+		}
+		if req.Name == "" || req.Lang == "" || req.Arch == "" || req.Mech == "" {
+			t.Fatalf("accepted %.80q without defaults: %+v", body, req)
+		}
+		if _, err := hostarch.ByName(req.Arch); err != nil {
+			t.Fatalf("accepted %.80q with arch %q: %v", body, req.Arch, err)
+		}
+		if _, err := ib.Parse(req.Mech); err != nil {
+			t.Fatalf("accepted %.80q with mech %q: %v", body, req.Mech, err)
+		}
+	})
 }
 
 // Identical concurrent submissions must collapse to a single execution.

@@ -2,10 +2,11 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -150,15 +151,12 @@ type idxCell struct {
 // arch, or mechanism spec) rather than execution.
 var errCellInvalid = errors.New("invalid sweep cell")
 
-// decodeSweep decodes a sweep-shaped request body into v, rejecting
-// unknown fields, and validates req, the SweepRequest that v is or
-// carries. It returns the matrix to expand, which holds at most maxCells
-// cells.
-func decodeSweep(body io.Reader, v any, req *SweepRequest, maxCells int) (sweep.Matrix, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return sweep.Matrix{}, fmt.Errorf("decoding request: %w", err)
+// decodeSweep decodes a sweep-shaped request body into v and validates
+// req, the SweepRequest that v is or carries. It returns the matrix to
+// expand, which holds at most MaxSweepCells cells.
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request, v any, req *SweepRequest) (sweep.Matrix, error) {
+	if err := s.decodeBody(w, r, v); err != nil {
+		return sweep.Matrix{}, err
 	}
 	if len(req.Workloads) == 0 {
 		return sweep.Matrix{}, errors.New("workloads must be non-empty")
@@ -175,8 +173,8 @@ func decodeSweep(body io.Reader, v any, req *SweepRequest, maxCells int) (sweep.
 	// fit in a 1 MB body and multiply to 2^64).
 	n := 1
 	for _, d := range []int{len(m.Workloads), len(m.Archs), len(m.Mechs), max(len(m.Scales), 1)} {
-		if n *= d; n > maxCells {
-			return sweep.Matrix{}, fmt.Errorf("sweep expands to more than the %d-cell limit", maxCells)
+		if n *= d; n > s.cfg.MaxSweepCells {
+			return sweep.Matrix{}, fmt.Errorf("sweep expands to more than the %d-cell limit", s.cfg.MaxSweepCells)
 		}
 	}
 	return m, nil
@@ -191,7 +189,7 @@ func (s *Server) readSweep(w http.ResponseWriter, r *http.Request, v any, req *S
 		s.writeError(w, r, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return sweep.Matrix{}, false
 	}
-	m, err := decodeSweep(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v, req, s.cfg.MaxSweepCells)
+	m, err := s.decodeSweep(w, r, v, req)
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return sweep.Matrix{}, false
@@ -474,23 +472,51 @@ func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepReques
 	if _, err := ib.Parse(c.Mech); err != nil {
 		return "", nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
 	}
-	img, _, err := s.images.Do(ctx, fmt.Sprintf("%s|%d", c.Workload, c.Scale), func() (*program.Image, error) {
-		return spec.Image(c.Scale)
+	ci, _, err := s.images.Do(ctx, fmt.Sprintf("%s|%d", c.Workload, c.Scale), func() (*cellImage, error) {
+		return newCellImage(spec, c.Scale)
 	})
 	if err != nil {
 		return "", nil, nil, err
 	}
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.state); err != nil {
+		return "", nil, nil, err
+	}
 	rr := &RunRequest{
-		Name:  c.Workload,
-		Lang:  LangWorkload,
-		Arch:  c.Arch,
-		Mech:  c.Mech,
-		Seed:  req.Seed,
-		Limit: req.Limit,
+		Name:      c.Workload,
+		Lang:      LangWorkload,
+		Arch:      c.Arch,
+		Mech:      c.Mech,
+		Seed:      req.Seed,
+		Limit:     req.Limit,
+		TimeoutMS: req.TimeoutMS, // bounds each cell; not part of the key
 	}
 	// Scale participates in the key through the image bytes themselves:
 	// a different scale assembles to a different image.
-	return rr.key(img), rr, img, nil
+	return rr.keyAfter(h), rr, ci.img, nil
+}
+
+// cellImage is a sweep cell's compiled workload, memoized per
+// workload|scale, with the sha256 state after hashing its bytes. Every
+// cell key starts with those bytes, so resuming the state gives the key
+// RunRequest.key would without serialising and hashing the image again.
+type cellImage struct {
+	img   *program.Image
+	state []byte // sha256 MarshalBinary state after the image bytes
+}
+
+func newCellImage(spec *workload.Spec, scale int) (*cellImage, error) {
+	img, err := spec.Image(scale)
+	if err != nil {
+		return nil, err
+	}
+	h := sha256.New()
+	img.WriteTo(h)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return &cellImage{img: img, state: state}, nil
 }
 
 // runCell executes one cell through the same content-addressed store tier
@@ -502,20 +528,7 @@ func (s *Server) runCell(ctx context.Context, c sweep.Cell, req *SweepRequest) (
 	if err != nil {
 		return cellValue{}, err
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	cellCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	data, hit, err := s.store.Do(cellCtx, key, func() ([]byte, error) {
-		return s.execute(cellCtx, key, img, rr)
-	})
+	data, hit, err := s.runStored(ctx, key, img, rr)
 	if err != nil {
 		return cellValue{}, err
 	}

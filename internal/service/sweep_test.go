@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"sdt/internal/hostarch"
+	"sdt/internal/sweep"
 	"sdt/internal/workload"
 )
 
@@ -383,9 +385,10 @@ func FuzzDecodeSweep(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"workloads":["gzip"],"mechs":["ibtc:256","sieve:64"],"scales":[0],"seed":1,"limit":9}`))
+	s := &Server{cfg: Config{MaxSweepCells: badSweepCap}.withDefaults()}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
-		m, err := decodeSweep(bytes.NewReader(body), &req, &req, badSweepCap)
+		m, err := s.decodeSweep(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)), &req, &req)
 		if err != nil {
 			return
 		}
@@ -533,6 +536,39 @@ func TestSweepRecordShapes(t *testing.T) {
 		for label := range st.want {
 			if !seen[label] {
 				t.Errorf("%s: no %s record", st.name, label)
+			}
+		}
+	}
+}
+
+// prepareCell resumes each image's memoized hash state instead of
+// hashing the image again; every cell key must still equal the one
+// RunRequest.key derives from a freshly assembled image, on the call
+// that fills the memo and on the hits after it.
+func TestPrepareCellKeyMatchesRunKey(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	req := &SweepRequest{Seed: 7, Limit: 1 << 20}
+	for _, name := range workload.Names() {
+		spec, err := workload.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []int{0, 2} {
+			fresh, err := spec.Image(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for arch := range hostarch.Models() {
+				for _, mech := range []string{"ibtc:256", "retcache+sieve:64"} {
+					c := sweep.Cell{Workload: name, Arch: arch, Mech: mech, Scale: scale}
+					key, rr, _, err := s.prepareCell(context.Background(), c, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := rr.key(fresh); key != want {
+						t.Fatalf("%s scale %d %s %s: memoized key %s, RunRequest.key %s", name, scale, arch, mech, key, want)
+					}
+				}
 			}
 		}
 	}

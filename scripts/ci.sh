@@ -61,6 +61,8 @@ fuzz ./internal/minic   FuzzCompile
 fuzz ./internal/oracle  FuzzDifferential
 fuzz ./internal/oracle  FuzzMinimize
 fuzz ./internal/service FuzzDecodeSweep
+fuzz ./internal/service FuzzDecodeRun
+fuzz ./internal/service FuzzDecodeMemberChange
 
 echo "==> bench smoke"
 go test -run='^$' -bench=. -benchtime=1x ./...
