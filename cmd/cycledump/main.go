@@ -55,15 +55,13 @@ func main() {
 			nr := m.Result()
 			fmt.Printf("%s|%s|native|cyc=%d inst=%d sum=%x\n", wl, arch, nr.Cycles, nr.Instret, nr.Checksum)
 			for _, ms := range specs {
-				cfg, err := ib.Parse(ms)
-				if err != nil {
-					fatal(err)
-				}
 				for _, v := range variants {
-					cfg2, _ := ib.Parse(ms) // fresh handler per run
-					opts := cfg2.Options(model)
+					cfg, err := ib.Parse(ms) // fresh handler per run
+					if err != nil {
+						fatal(err)
+					}
+					opts := cfg.Options(model)
 					v.mutate(&opts)
-					_ = cfg
 					vm, err := core.New(img, opts)
 					if err != nil {
 						fatal(err)

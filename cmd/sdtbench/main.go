@@ -1,6 +1,7 @@
 // Sdtbench regenerates the paper's evaluation: every table and figure
-// plus the extension experiments (E1..E15, indexed in EXPERIMENTS.md) over
-// the synthetic SPEC CPU2000 suite on both host cost models.
+// (E1–E12) plus the extension experiments (E13, E15–E18), indexed in
+// EXPERIMENTS.md, over the synthetic SPEC CPU2000 suite on the x86, SPARC
+// and ARM host cost models.
 //
 // Usage:
 //

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"sdt/internal/asm"
 	"sdt/internal/hostarch"
 	"sdt/internal/isa"
 	"sdt/internal/machine"
@@ -38,7 +37,7 @@ func main() {
 	limit := flag.Uint64("limit", 100_000_000, "hard instruction budget")
 	flag.Parse()
 
-	img, err := loadImage(*wl, *scale, flag.Args())
+	img, err := workload.Load(*wl, *scale, flag.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -150,33 +149,6 @@ func dump(st *machine.State) {
 			fmt.Println()
 		}
 	}
-}
-
-func loadImage(wl string, scale int, args []string) (*program.Image, error) {
-	switch {
-	case wl != "":
-		s, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		return s.Image(scale)
-	case len(args) == 1:
-		path := args[0]
-		if strings.HasSuffix(path, ".s") {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return asm.Assemble(path, string(src))
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return program.Read(f)
-	}
-	return nil, fmt.Errorf("usage: sdtdbg [flags] prog.s|prog.img  (or -w workload)")
 }
 
 func fatal(err error) {

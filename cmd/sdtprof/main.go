@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
-	"sdt/internal/asm"
 	"sdt/internal/hostarch"
 	"sdt/internal/isa"
 	"sdt/internal/machine"
@@ -33,7 +31,7 @@ func main() {
 	limit := flag.Uint64("limit", 0, "instruction budget (0 = default)")
 	flag.Parse()
 
-	img, err := loadImage(*wl, *scale, flag.Args())
+	img, err := workload.Load(*wl, *scale, flag.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -142,33 +140,6 @@ func topShare(targets map[uint32]uint64, total uint64) float64 {
 		return 0
 	}
 	return float64(top) / float64(total)
-}
-
-func loadImage(wl string, scale int, args []string) (*program.Image, error) {
-	switch {
-	case wl != "":
-		s, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		return s.Image(scale)
-	case len(args) == 1:
-		path := args[0]
-		if strings.HasSuffix(path, ".s") {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return asm.Assemble(path, string(src))
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return program.Read(f)
-	}
-	return nil, fmt.Errorf("usage: sdtprof [flags] prog.s|prog.img  (or -w workload)")
 }
 
 func fatal(err error) {

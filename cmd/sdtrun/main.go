@@ -19,124 +19,92 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"sdt/internal/asm"
 	"sdt/internal/core"
 	"sdt/internal/hostarch"
 	"sdt/internal/ib"
 	"sdt/internal/isa"
 	"sdt/internal/machine"
-	"sdt/internal/program"
 	"sdt/internal/workload"
 )
 
 func main() {
-	wl := flag.String("w", "", "built-in workload name")
-	scale := flag.Int("scale", 0, "workload scale (0 = default)")
-	native := flag.Bool("native", false, "run natively (no SDT)")
-	mech := flag.String("mech", "ibtc:16384", "IB mechanism spec")
-	arch := flag.String("arch", "x86", "host cost model: x86, sparc or arm")
-	limit := flag.Uint64("limit", 0, "instruction budget (0 = default)")
-	prof := flag.Bool("profile", false, "print profile after the run")
-	list := flag.Bool("list", false, "list built-in workloads")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sdtrun:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("sdtrun", flag.ExitOnError)
+	wl := fs.String("w", "", "built-in workload name")
+	scale := fs.Int("scale", 0, "workload scale (0 = default)")
+	native := fs.Bool("native", false, "run natively (no SDT)")
+	mech := fs.String("mech", "ibtc:16384", "IB mechanism spec")
+	arch := fs.String("arch", "x86", "host cost model: x86, sparc or arm")
+	limit := fs.Uint64("limit", 0, "instruction budget (0 = default)")
+	prof := fs.Bool("profile", false, "print profile after the run")
+	list := fs.Bool("list", false, "list built-in workloads")
+	_ = fs.Parse(args) // ExitOnError: a bad flag prints usage and exits 2
 
 	if *list {
 		for _, name := range workload.Names() {
 			s, _ := workload.Get(name)
-			fmt.Printf("%-16s %-12s modeled after %s\n", name, s.IBClass, s.Model)
+			fmt.Fprintf(out, "%-16s %-12s modeled after %s\n", name, s.IBClass, s.Model)
 		}
-		return
+		return nil
 	}
 
-	img, err := loadImage(*wl, *scale, flag.Args())
+	img, err := workload.Load(*wl, *scale, fs.Args())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	model, err := hostarch.ByName(*arch)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *native {
 		m, err := machine.New(img, model)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := m.Run(*limit); err != nil {
-			fatal(err)
+			return err
 		}
-		report(m.Result(), fmt.Sprintf("native/%s", *arch))
+		report(out, m.Result(), fmt.Sprintf("native/%s", *arch))
 		if *prof {
 			c := m.Counts
-			fmt.Printf("counts: loads=%d stores=%d branches=%d (taken %d) calls=%d\n",
+			fmt.Fprintf(out, "counts: loads=%d stores=%d branches=%d (taken %d) calls=%d\n",
 				c.Loads, c.Stores, c.Branches, c.Taken, c.Calls)
-			fmt.Printf("IBs: ret=%d ijump=%d icall=%d (%.1f per 1k instructions)\n",
+			fmt.Fprintf(out, "IBs: ret=%d ijump=%d icall=%d (%.1f per 1k instructions)\n",
 				c.IB[isa.IBReturn], c.IB[isa.IBJump], c.IB[isa.IBCall], c.IBPer1K())
 		}
-		return
+		return nil
 	}
 
 	cfg, err := ib.Parse(*mech)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	vm, err := core.New(img, core.Options{Model: model, Handler: cfg.Handler, FastReturns: cfg.FastReturns})
+	vm, err := core.New(img, cfg.Options(model))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := vm.Run(*limit); err != nil {
-		fatal(err)
+		return err
 	}
-	report(vm.Result(), fmt.Sprintf("sdt/%s/%s", *arch, cfg.Handler.Name()))
+	report(out, vm.Result(), fmt.Sprintf("sdt/%s/%s", *arch, cfg.Handler.Name()))
 	if *prof {
-		vm.Prof.Dump(os.Stdout, vm.Env.Cycles)
+		vm.Prof.Dump(out, vm.Env.Cycles)
 	}
+	return nil
 }
 
-func loadImage(wl string, scale int, args []string) (*program.Image, error) {
-	switch {
-	case wl != "":
-		s, err := workload.Get(wl)
-		if err != nil {
-			return nil, err
-		}
-		return s.Image(scale)
-	case len(args) == 1:
-		path := args[0]
-		if strings.HasSuffix(path, ".s") {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return asm.Assemble(path, string(src))
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return program.Read(f)
-	}
-	return nil, fmt.Errorf("usage: sdtrun [flags] prog.s|prog.img  (or -w workload; see -list)")
-}
-
-func report(r machine.Result, how string) {
-	fmt.Printf("%s: %d instructions, %d cycles (CPI %.2f), exit=%d\n",
+func report(out io.Writer, r machine.Result, how string) {
+	fmt.Fprintf(out, "%s: %d instructions, %d cycles (CPI %.2f), exit=%d\n",
 		how, r.Instret, r.Cycles, float64(r.Cycles)/float64(max(r.Instret, 1)), r.ExitCode)
-	fmt.Printf("output: %d values, checksum %#016x\n", r.OutCount, r.Checksum)
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sdtrun:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "output: %d values, checksum %#016x\n", r.OutCount, r.Checksum)
 }

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: it re-runs every table and
-// figure of the paper's evaluation — plus three extension experiments —
-// (E1..E15, indexed in DESIGN.md and EXPERIMENTS.md) against the synthetic
-// SPEC CPU2000 suite, on both host cost models, and renders them as text
-// tables and charts. Runner methods are safe for concurrent use.
+// figure of the paper's evaluation (E1–E12) plus five extension
+// experiments (E13 and E15–E18; indexed in DESIGN.md and EXPERIMENTS.md)
+// against the synthetic SPEC CPU2000 suite, on the x86, SPARC and ARM host
+// cost models, and renders them as text tables and charts. Runner methods
+// are safe for concurrent use.
 package bench
 
 import (
@@ -140,60 +141,45 @@ func (r *Runner) image(name string) (*program.Image, error) {
 // architecture.
 func (r *Runner) Native(wl, arch string) (*Result, error) {
 	res, _, err := r.natives.Do(context.Background(), wl+"|"+arch, func() (*Result, error) {
-		img, err := r.image(wl)
-		if err != nil {
-			return nil, err
-		}
 		model, err := hostarch.ByName(arch)
 		if err != nil {
 			return nil, err
 		}
-		r.logf("native   %-10s %-6s ...\n", wl, arch)
-		m, err := machine.RunImage(img, model, runLimit)
-		if err != nil {
-			return nil, fmt.Errorf("bench: native %s on %s: %w", wl, arch, err)
-		}
-		res := &Result{Workload: wl, Arch: arch, Native: m.Result(), Counts: m.Counts}
-		m.Recycle()
-		return res, nil
+		return r.native(wl, arch, model)
 	})
 	return res, err
+}
+
+// native runs wl on the reference machine under model, labelled arch.
+func (r *Runner) native(wl, arch string, model *hostarch.Model) (*Result, error) {
+	img, err := r.image(wl)
+	if err != nil {
+		return nil, err
+	}
+	r.logf("native   %-10s %-6s ...\n", wl, arch)
+	m, err := machine.RunImage(img, model, runLimit)
+	if err != nil {
+		return nil, fmt.Errorf("bench: native %s on %s: %w", wl, arch, err)
+	}
+	res := &Result{Workload: wl, Arch: arch, Native: m.Result(), Counts: m.Counts}
+	m.Recycle()
+	return res, nil
 }
 
 // Run measures (and memoizes) one workload under one mechanism spec on one
 // architecture, verifying output equivalence against the native run.
 func (r *Runner) Run(wl, arch, spec string) (*Result, error) {
 	res, _, err := r.runs.Do(context.Background(), wl+"|"+arch+"|"+spec, func() (*Result, error) {
-		native, err := r.Native(wl, arch)
-		if err != nil {
-			return nil, err
-		}
-		img, err := r.image(wl)
-		if err != nil {
-			return nil, err
-		}
-		model, err := hostarch.ByName(arch)
-		if err != nil {
-			return nil, err
-		}
-		return r.measure(img, wl, arch, spec, model, native)
+		return r.RunWithOptions(wl, arch, spec, nil)
 	})
 	return res, err
 }
 
 // RunWithOptions measures one workload under spec with caller-mutated VM
-// options (fragment cache size, linking, block length).
-// Results are not memoized.
+// options (fragment cache size, linking, block length); a nil mutate
+// leaves spec's options as they are. Results are not memoized.
 func (r *Runner) RunWithOptions(wl, arch, spec string, mutate func(*core.Options)) (*Result, error) {
-	native, err := r.Native(wl, arch)
-	if err != nil {
-		return nil, err
-	}
-	img, err := r.image(wl)
-	if err != nil {
-		return nil, err
-	}
-	model, err := hostarch.ByName(arch)
+	native, model, err := r.baseline(wl, arch)
 	if err != nil {
 		return nil, err
 	}
@@ -205,95 +191,65 @@ func (r *Runner) RunWithOptions(wl, arch, spec string, mutate func(*core.Options
 	if mutate != nil {
 		mutate(&opts)
 	}
-	vm, err := core.New(img, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := vm.Run(runLimit); err != nil {
-		return nil, fmt.Errorf("bench: %s under %s on %s: %w", wl, spec, arch, err)
-	}
-	res := &Result{
-		Workload: wl, Arch: arch, Spec: spec,
-		Native: native.Native, SDT: vm.Result(), Prof: vm.Prof, Counts: native.Counts,
-	}
-	vm.Recycle()
-	if res.SDT.Checksum != res.Native.Checksum || res.SDT.Instret != res.Native.Instret {
-		return nil, fmt.Errorf("bench: %s under %s on %s diverged from native execution", wl, spec, arch)
-	}
-	r.logf("sdt      %-10s %-6s %-28s %.2fx\n", wl, arch, spec, res.Slowdown())
-	return res, nil
+	return r.measure(native, spec, opts)
 }
 
 // RunWithHandler measures one workload under a caller-constructed handler
 // (for mechanism combinations the spec grammar cannot express). mk must
 // build a fresh handler per call. Results are memoized under name.
-func (r *Runner) RunWithHandler(wl, arch, name string, mk func() core.IBHandler, fastReturns bool) (*Result, error) {
+func (r *Runner) RunWithHandler(wl, arch, name string, mk func() core.IBHandler) (*Result, error) {
 	res, _, err := r.runs.Do(context.Background(), wl+"|"+arch+"|handler:"+name, func() (*Result, error) {
-		native, err := r.Native(wl, arch)
+		native, model, err := r.baseline(wl, arch)
 		if err != nil {
 			return nil, err
 		}
-		img, err := r.image(wl)
-		if err != nil {
-			return nil, err
-		}
-		model, err := hostarch.ByName(arch)
-		if err != nil {
-			return nil, err
-		}
-		vm, err := core.New(img, core.Options{Model: model, Handler: mk(), FastReturns: fastReturns})
-		if err != nil {
-			return nil, err
-		}
-		if err := vm.Run(runLimit); err != nil {
-			return nil, fmt.Errorf("bench: %s under %s on %s: %w", wl, name, arch, err)
-		}
-		res := &Result{
-			Workload: wl, Arch: arch, Spec: name,
-			Native: native.Native, SDT: vm.Result(), Prof: vm.Prof, Counts: native.Counts,
-		}
-		vm.Recycle()
-		if res.SDT.Checksum != res.Native.Checksum || res.SDT.Instret != res.Native.Instret {
-			return nil, fmt.Errorf("bench: %s under %s on %s diverged from native execution", wl, name, arch)
-		}
-		r.logf("sdt      %-10s %-6s %-28s %.2fx\n", wl, arch, name, res.Slowdown())
-		return res, nil
+		return r.measure(native, name, core.Options{Model: model, Handler: mk()})
 	})
 	return res, err
 }
 
 // RunWithModel measures one workload under a caller-supplied (possibly
-// ablated) cost model. Results are not memoized.
+// ablated) cost model, native baseline included. Results are not
+// memoized.
 func (r *Runner) RunWithModel(wl, spec string, model *hostarch.Model) (*Result, error) {
-	img, err := r.image(wl)
+	native, err := r.native(wl, model.Name, model)
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.RunImage(img, model, runLimit)
-	if err != nil {
-		return nil, fmt.Errorf("bench: native %s on %s: %w", wl, model.Name, err)
-	}
-	native := &Result{Workload: wl, Arch: model.Name, Native: m.Result(), Counts: m.Counts}
-	m.Recycle()
-	return r.measure(img, wl, model.Name, spec, model, native)
-}
-
-func (r *Runner) measure(img *program.Image, wl, arch, spec string, model *hostarch.Model, native *Result) (*Result, error) {
 	cfg, err := ib.Parse(spec)
 	if err != nil {
 		return nil, err
 	}
-	vm, err := core.New(img, cfg.Options(model))
+	return r.measure(native, spec, cfg.Options(model))
+}
+
+// baseline returns the memoized native run of wl on arch and arch's model.
+func (r *Runner) baseline(wl, arch string) (*Result, *hostarch.Model, error) {
+	native, err := r.Native(wl, arch)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, err := hostarch.ByName(arch)
+	return native, model, err
+}
+
+// measure is the harness's one SDT measurement: it runs native's workload
+// under opts, labels the result spec, records the predictor miss rates and
+// rejects a run whose output or instruction count differs from native.
+func (r *Runner) measure(native *Result, spec string, opts core.Options) (*Result, error) {
+	img, err := r.image(native.Workload)
+	if err != nil {
+		return nil, err
+	}
+	vm, err := core.New(img, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := vm.Run(runLimit); err != nil {
-		return nil, fmt.Errorf("bench: %s under %s on %s: %w", wl, spec, arch, err)
+		return nil, fmt.Errorf("bench: %s under %s on %s: %w", native.Workload, spec, native.Arch, err)
 	}
-	res := &Result{
-		Workload: wl, Arch: arch, Spec: spec,
-		Native: native.Native, SDT: vm.Result(), Prof: vm.Prof, Counts: native.Counts,
-	}
+	res := *native
+	res.Spec, res.SDT, res.Prof = spec, vm.Result(), vm.Prof
 	if h, m := vm.Env.BTB.Stats(); h+m > 0 {
 		res.BTBMissRate = float64(m) / float64(h+m)
 	}
@@ -302,10 +258,10 @@ func (r *Runner) measure(img *program.Image, wl, arch, spec string, model *hosta
 	}
 	vm.Recycle()
 	if res.SDT.Checksum != res.Native.Checksum || res.SDT.Instret != res.Native.Instret {
-		return nil, fmt.Errorf("bench: %s under %s on %s diverged from native execution", wl, spec, arch)
+		return nil, fmt.Errorf("bench: %s under %s on %s diverged from native execution", native.Workload, spec, native.Arch)
 	}
-	r.logf("sdt      %-10s %-6s %-28s %.2fx\n", wl, arch, spec, res.Slowdown())
-	return res, nil
+	r.logf("sdt      %-10s %-6s %-28s %.2fx\n", native.Workload, native.Arch, spec, res.Slowdown())
+	return &res, nil
 }
 
 // Geomean returns the geometric mean of vs (0 for empty input).

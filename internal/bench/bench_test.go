@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"sdt/internal/core"
 	"sdt/internal/hostarch"
+	"sdt/internal/ib"
 )
 
 // testRunner shrinks workloads hard so harness tests stay fast.
@@ -91,21 +93,72 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestRunWithModel(t *testing.T) {
+// Every entry point goes through the one SDT measurement, so each must
+// agree with Run where it configures the same run, predictor miss rates
+// included, and move the result where it configures another.
+func TestRunEntryPoints(t *testing.T) {
+	const wl, spec = "perlbmk", "ibtc:1024"
 	r := testRunner()
-	m := hostarch.X86()
-	m.Name = "x86-noflags"
-	m.FlagsSave, m.FlagsRestore = 0, 0
-	ablated, err := r.RunWithModel("perlbmk", "ibtc:1024", m)
+	stock, err := r.Run(wl, "x86", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stock, err := r.Run("perlbmk", "x86", "ibtc:1024")
-	if err != nil {
-		t.Fatal(err)
+	if stock.BTBMissRate == 0 {
+		t.Fatalf("Run(%s, x86, %s): BTB miss rate 0, want a measured rate", wl, spec)
 	}
-	if ablated.Slowdown() >= stock.Slowdown() {
-		t.Errorf("free flags (%.3f) should beat stock (%.3f)", ablated.Slowdown(), stock.Slowdown())
+	same := func(t *testing.T, res *Result) {
+		if res.SDT != stock.SDT || res.BTBMissRate != stock.BTBMissRate || res.RASMissRate != stock.RASMissRate {
+			t.Errorf("got SDT %+v, BTB miss %v, RAS miss %v; Run gave %+v, %v, %v",
+				res.SDT, res.BTBMissRate, res.RASMissRate, stock.SDT, stock.BTBMissRate, stock.RASMissRate)
+		}
+	}
+	freeFlags := hostarch.X86()
+	freeFlags.Name = "x86-noflags"
+	freeFlags.FlagsSave, freeFlags.FlagsRestore = 0, 0
+	tests := []struct {
+		name  string
+		run   func() (*Result, error)
+		check func(t *testing.T, res *Result)
+	}{
+		{"options", func() (*Result, error) {
+			return r.RunWithOptions(wl, "x86", spec, nil)
+		}, same},
+		{"options-tiny-cache", func() (*Result, error) {
+			return r.RunWithOptions(wl, "x86", spec, func(o *core.Options) { o.CacheBytes = 512 })
+		}, func(t *testing.T, res *Result) {
+			if res.Prof.Flushes <= stock.Prof.Flushes {
+				t.Errorf("a 512-byte fragment cache flushed %d times, stock %d", res.Prof.Flushes, stock.Prof.Flushes)
+			}
+		}},
+		// One IBTC behind all three kinds is the plain IBTC.
+		{"handler-shared-ibtc", func() (*Result, error) {
+			return r.RunWithHandler(wl, "x86", "shared-ibtc", func() core.IBHandler {
+				h := ib.NewIBTC(ib.IBTCConfig{Entries: 1024})
+				return ib.NewPerKind(h, h, h)
+			})
+		}, same},
+		{"model-stock", func() (*Result, error) {
+			return r.RunWithModel(wl, spec, hostarch.X86())
+		}, same},
+		{"model-free-flags", func() (*Result, error) {
+			return r.RunWithModel(wl, spec, freeFlags)
+		}, func(t *testing.T, res *Result) {
+			if res.Slowdown() >= stock.Slowdown() {
+				t.Errorf("free flags (%.3f) should beat stock (%.3f)", res.Slowdown(), stock.Slowdown())
+			}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			res, err := tt.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SDT.Checksum != res.Native.Checksum || res.SDT.Instret != res.Native.Instret {
+				t.Fatal("returned a diverged result")
+			}
+			tt.check(t, res)
+		})
 	}
 }
 

@@ -69,6 +69,69 @@ var ibHeavy = []string{"gcc", "crafty", "eon", "perlbmk", "gap", "vortex"}
 
 func fmtF(v float64) string { return fmt.Sprintf("%.2f", v) }
 
+// slowdowns prefetches the grid wls × {arch} × specs and returns one
+// series per workload, in wls order, of its slowdown under each spec,
+// followed by the per-spec geomeans named label.
+func (r *Runner) slowdowns(wls []string, arch string, specs []string, label string) ([]textplot.NamedSeries, error) {
+	if err := r.grid(wls, []string{arch}, specs); err != nil {
+		return nil, err
+	}
+	series := make([]textplot.NamedSeries, len(wls)+1)
+	cols := make([][]float64, len(specs))
+	for i, wl := range wls {
+		series[i].Name = wl
+		for j, spec := range specs {
+			res, err := r.Run(wl, arch, spec)
+			if err != nil {
+				return nil, err
+			}
+			series[i].Values = append(series[i].Values, res.Slowdown())
+			cols[j] = append(cols[j], res.Slowdown())
+		}
+	}
+	gm := &series[len(wls)]
+	gm.Name = label
+	for _, col := range cols {
+		gm.Values = append(gm.Values, Geomean(col))
+	}
+	return series, nil
+}
+
+// slowdownTable renders slowdowns as table rows, each a name followed by
+// slowdowns ("1.23x"). It also returns the geomeans.
+func (r *Runner) slowdownTable(wls []string, arch string, specs []string, label string) ([][]string, []float64, error) {
+	series, err := r.slowdowns(wls, arch, specs, label)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([][]string, len(series))
+	for i, s := range series {
+		rows[i] = []string{s.Name}
+		for _, v := range s.Values {
+			rows[i] = append(rows[i], fmtF(v)+"x")
+		}
+	}
+	return rows, series[len(wls)].Values, nil
+}
+
+// sweepFigure plots the x86 slowdown of each IB-heavy workload, and their
+// geomean, against a mechanism parameter: the spec at each of params is
+// format applied to it.
+func (r *Runner) sweepFigure(w io.Writer, title, xlabel string, params []int, format string) error {
+	xs := make([]string, len(params))
+	specs := make([]string, len(params))
+	for i, p := range params {
+		xs[i] = fmt.Sprintf("%d", p)
+		specs[i] = fmt.Sprintf(format, p)
+	}
+	series, err := r.slowdowns(ibHeavy, "x86", specs, "geomean")
+	if err != nil {
+		return err
+	}
+	textplot.Series(w, title, xlabel, xs, series, "x")
+	return nil
+}
+
 // ---- E1: characterization -------------------------------------------------
 
 func runE1(r *Runner, w io.Writer) error {
@@ -114,168 +177,52 @@ func (r *Runner) workloadSpec(wl string) (string, error) {
 // ---- E2: naive overhead ---------------------------------------------------
 
 func runE2(r *Runner, w io.Writer) error {
-	if err := r.grid(r.suite(), []string{"x86", "sparc"}, []string{SpecNaive}); err != nil {
-		return err
-	}
 	for _, arch := range []string{"x86", "sparc"} {
-		var labels []string
-		var vals []float64
-		for _, wl := range r.suite() {
-			res, err := r.Run(wl, arch, SpecNaive)
-			if err != nil {
-				return err
-			}
-			labels = append(labels, wl)
-			vals = append(vals, res.Slowdown())
+		series, err := r.slowdowns(r.suite(), arch, []string{SpecNaive}, "geomean")
+		if err != nil {
+			return err
 		}
-		labels = append(labels, "geomean")
-		vals = append(vals, Geomean(vals))
+		labels := make([]string, len(series))
+		vals := make([]float64, len(series))
+		for i, s := range series {
+			labels[i], vals[i] = s.Name, s.Values[0]
+		}
 		textplot.Bar(w, fmt.Sprintf("slowdown vs native, naive translator re-entry on every IB (%s)", arch), labels, vals, "x")
 		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-// ---- E3: IBTC size sweep --------------------------------------------------
+// ---- E3/E5/E6: parameter sweeps ------------------------------------------------
 
-var ibtcSizes = []int{16, 64, 256, 1024, 4096, 16384, 65536}
+var (
+	ibtcSizes    = []int{16, 64, 256, 1024, 4096, 16384, 65536}
+	inlineDepths = []int{1, 2, 3, 4, 6, 8}
+	sieveSizes   = []int{1, 4, 16, 64, 256, 1024, 16384}
+)
 
 func runE3(r *Runner, w io.Writer) error {
-	xs := make([]string, len(ibtcSizes))
-	specs := make([]string, len(ibtcSizes))
-	for i, n := range ibtcSizes {
-		xs[i] = fmt.Sprintf("%d", n)
-		specs[i] = fmt.Sprintf("ibtc:%d", n)
-	}
-	if err := r.grid(ibHeavy, []string{"x86"}, specs); err != nil {
-		return err
-	}
-	var series []textplot.NamedSeries
-	geo := make([][]float64, len(ibtcSizes))
-	for _, wl := range ibHeavy {
-		vals := make([]float64, len(ibtcSizes))
-		for i, n := range ibtcSizes {
-			res, err := r.Run(wl, "x86", fmt.Sprintf("ibtc:%d", n))
-			if err != nil {
-				return err
-			}
-			vals[i] = res.Slowdown()
-			geo[i] = append(geo[i], vals[i])
-		}
-		series = append(series, textplot.NamedSeries{Name: wl, Values: vals})
-	}
-	gm := make([]float64, len(ibtcSizes))
-	for i := range geo {
-		gm[i] = Geomean(geo[i])
-	}
-	series = append(series, textplot.NamedSeries{Name: "geomean", Values: gm})
-	textplot.Series(w, "slowdown vs shared IBTC entries (x86)", "entries", xs, series, "x")
-	return nil
+	return r.sweepFigure(w, "slowdown vs shared IBTC entries (x86)", "entries", ibtcSizes, "ibtc:%d")
+}
+
+func runE5(r *Runner, w io.Writer) error {
+	return r.sweepFigure(w, "slowdown vs inline-cache depth, IBTC fallback (x86)", "depth", inlineDepths, "inline:%d+ibtc:16384")
+}
+
+func runE6(r *Runner, w io.Writer) error {
+	return r.sweepFigure(w, "slowdown vs sieve buckets (x86)", "buckets", sieveSizes, "sieve:%d")
 }
 
 // ---- E4: shared vs private IBTC --------------------------------------------
 
 func runE4(r *Runner, w io.Writer) error {
 	specs := []string{"ibtc:16384", "ibtc:1024:private", "ibtc:64:private"}
-	if err := r.grid(r.suite(), []string{"x86"}, specs); err != nil {
+	rows, _, err := r.slowdownTable(r.suite(), "x86", specs, "geomean")
+	if err != nil {
 		return err
 	}
-	headers := append([]string{"workload"}, specs...)
-	var rows [][]string
-	geo := make([][]float64, len(specs))
-	for _, wl := range r.suite() {
-		row := []string{wl}
-		for i, spec := range specs {
-			res, err := r.Run(wl, "x86", spec)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmtF(res.Slowdown())+"x")
-			geo[i] = append(geo[i], res.Slowdown())
-		}
-		rows = append(rows, row)
-	}
-	grow := []string{"geomean"}
-	for i := range specs {
-		grow = append(grow, fmtF(Geomean(geo[i]))+"x")
-	}
-	rows = append(rows, grow)
-	textplot.Table(w, headers, rows)
+	textplot.Table(w, append([]string{"workload"}, specs...), rows)
 	fmt.Fprintln(w, "\n(private tables trade capacity for isolation; the shared table wins once it is large enough)")
-	return nil
-}
-
-// ---- E5: inline cache depth sweep -------------------------------------------
-
-var inlineDepths = []int{1, 2, 3, 4, 6, 8}
-
-func runE5(r *Runner, w io.Writer) error {
-	xs := make([]string, len(inlineDepths))
-	specs := make([]string, len(inlineDepths))
-	for i, k := range inlineDepths {
-		xs[i] = fmt.Sprintf("%d", k)
-		specs[i] = fmt.Sprintf("inline:%d+ibtc:16384", k)
-	}
-	if err := r.grid(ibHeavy, []string{"x86"}, specs); err != nil {
-		return err
-	}
-	var series []textplot.NamedSeries
-	geo := make([][]float64, len(inlineDepths))
-	for _, wl := range ibHeavy {
-		vals := make([]float64, len(inlineDepths))
-		for i, k := range inlineDepths {
-			res, err := r.Run(wl, "x86", fmt.Sprintf("inline:%d+ibtc:16384", k))
-			if err != nil {
-				return err
-			}
-			vals[i] = res.Slowdown()
-			geo[i] = append(geo[i], vals[i])
-		}
-		series = append(series, textplot.NamedSeries{Name: wl, Values: vals})
-	}
-	gm := make([]float64, len(inlineDepths))
-	for i := range geo {
-		gm[i] = Geomean(geo[i])
-	}
-	series = append(series, textplot.NamedSeries{Name: "geomean", Values: gm})
-	textplot.Series(w, "slowdown vs inline-cache depth, IBTC fallback (x86)", "depth", xs, series, "x")
-	return nil
-}
-
-// ---- E6: sieve size sweep ---------------------------------------------------
-
-var sieveSizes = []int{1, 4, 16, 64, 256, 1024, 16384}
-
-func runE6(r *Runner, w io.Writer) error {
-	xs := make([]string, len(sieveSizes))
-	specs := make([]string, len(sieveSizes))
-	for i, n := range sieveSizes {
-		xs[i] = fmt.Sprintf("%d", n)
-		specs[i] = fmt.Sprintf("sieve:%d", n)
-	}
-	if err := r.grid(ibHeavy, []string{"x86"}, specs); err != nil {
-		return err
-	}
-	var series []textplot.NamedSeries
-	geo := make([][]float64, len(sieveSizes))
-	for _, wl := range ibHeavy {
-		vals := make([]float64, len(sieveSizes))
-		for i, n := range sieveSizes {
-			res, err := r.Run(wl, "x86", fmt.Sprintf("sieve:%d", n))
-			if err != nil {
-				return err
-			}
-			vals[i] = res.Slowdown()
-			geo[i] = append(geo[i], vals[i])
-		}
-		series = append(series, textplot.NamedSeries{Name: wl, Values: vals})
-	}
-	gm := make([]float64, len(sieveSizes))
-	for i := range geo {
-		gm[i] = Geomean(geo[i])
-	}
-	series = append(series, textplot.NamedSeries{Name: "geomean", Values: gm})
-	textplot.Series(w, "slowdown vs sieve buckets (x86)", "buckets", xs, series, "x")
 	return nil
 }
 
@@ -284,32 +231,13 @@ func runE6(r *Runner, w io.Writer) error {
 func runE7(r *Runner, w io.Writer) error {
 	specs := []string{SpecIBTC, SpecRetCache, SpecFastRet}
 	names := []string{"ibtc-returns", "return-cache", "fast-returns"}
-	if err := r.grid(r.suite(), []string{"x86", "sparc"}, specs); err != nil {
-		return err
-	}
 	for _, arch := range []string{"x86", "sparc"} {
-		headers := append([]string{"workload"}, names...)
-		var rows [][]string
-		geo := make([][]float64, len(specs))
-		for _, wl := range r.suite() {
-			row := []string{wl}
-			for i, spec := range specs {
-				res, err := r.Run(wl, arch, spec)
-				if err != nil {
-					return err
-				}
-				row = append(row, fmtF(res.Slowdown())+"x")
-				geo[i] = append(geo[i], res.Slowdown())
-			}
-			rows = append(rows, row)
+		rows, _, err := r.slowdownTable(r.suite(), arch, specs, "geomean")
+		if err != nil {
+			return err
 		}
-		grow := []string{"geomean"}
-		for i := range specs {
-			grow = append(grow, fmtF(Geomean(geo[i]))+"x")
-		}
-		rows = append(rows, grow)
 		fmt.Fprintf(w, "return-handling slowdowns (%s):\n", arch)
-		textplot.Table(w, headers, rows)
+		textplot.Table(w, append([]string{"workload"}, names...), rows)
 		fmt.Fprintln(w)
 	}
 	return nil
@@ -318,34 +246,13 @@ func runE7(r *Runner, w io.Writer) error {
 // ---- E8/E9: best-of-each comparison ---------------------------------------------
 
 func bestOfEach(r *Runner, w io.Writer, arch string) error {
-	if err := r.grid(r.suite(), []string{arch}, BestSpecs); err != nil {
+	rows, gms, err := r.slowdownTable(r.suite(), arch, BestSpecs, "geomean")
+	if err != nil {
 		return err
 	}
 	names := []string{"naive", "ibtc", "inline+ibtc", "sieve", "fastret+ibtc", "retcache+ibtc"}
-	headers := append([]string{"workload"}, names...)
-	var rows [][]string
-	geo := make([][]float64, len(BestSpecs))
-	for _, wl := range r.suite() {
-		row := []string{wl}
-		for i, spec := range BestSpecs {
-			res, err := r.Run(wl, arch, spec)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmtF(res.Slowdown())+"x")
-			geo[i] = append(geo[i], res.Slowdown())
-		}
-		rows = append(rows, row)
-	}
-	grow := []string{"geomean"}
-	gms := make([]float64, len(BestSpecs))
-	for i := range BestSpecs {
-		gms[i] = Geomean(geo[i])
-		grow = append(grow, fmtF(gms[i])+"x")
-	}
-	rows = append(rows, grow)
 	fmt.Fprintf(w, "slowdown vs native, best configuration of each mechanism (%s):\n", arch)
-	textplot.Table(w, headers, rows)
+	textplot.Table(w, append([]string{"workload"}, names...), rows)
 
 	// Ranking summary: the cross-architecture claim in one line.
 	type rank struct {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sdt/internal/core"
 	"sdt/internal/ib"
-	"sdt/internal/profile"
 	"sdt/internal/textplot"
 )
 
@@ -37,53 +37,36 @@ func init() {
 func runE18(r *Runner, w io.Writer) error {
 	specs := append([]string{SpecAdaptive}, BestSpecs...)
 	names := []string{"adaptive", "naive", "ibtc", "inline+ibtc", "sieve", "fastret+ibtc", "retcache+ibtc"}
-	heavy := make(map[string]bool, len(ibHeavy))
-	for _, wl := range ibHeavy {
-		heavy[wl] = true
+	var heavy []string
+	for _, wl := range r.suite() {
+		if slices.Contains(ibHeavy, wl) {
+			heavy = append(heavy, wl)
+		}
 	}
 	for _, arch := range []string{"x86", "sparc", "arm"} {
-		if err := r.grid(r.suite(), []string{arch}, specs); err != nil {
+		rows, _, err := r.slowdownTable(r.suite(), arch, specs, "geomean")
+		if err != nil {
 			return err
 		}
-		headers := append([]string{"workload"}, names...)
-		headers = append(headers, "promo", "demo")
-		var rows [][]string
-		geo := make([][]float64, len(specs))
-		heavyGeo := make([][]float64, len(specs))
-		for _, wl := range r.suite() {
-			row := []string{wl}
-			var prof *profile.Profile
-			for i, spec := range specs {
-				res, err := r.Run(wl, arch, spec)
-				if err != nil {
-					return err
-				}
-				if i == 0 {
-					prof = &res.Prof
-				}
-				row = append(row, fmtF(res.Slowdown())+"x")
-				geo[i] = append(geo[i], res.Slowdown())
-				if heavy[wl] {
-					heavyGeo[i] = append(heavyGeo[i], res.Slowdown())
-				}
-			}
-			row = append(row,
-				fmt.Sprintf("%d", prof.AdaptPromotions),
-				fmt.Sprintf("%d", prof.AdaptDemotions))
-			rows = append(rows, row)
+		heavyRows, heavyGeo, err := r.slowdownTable(heavy, arch, specs, "geomean(ib-heavy)")
+		if err != nil {
+			return err
 		}
-		for _, g := range []struct {
-			name string
-			geos [][]float64
-		}{{"geomean", geo}, {"geomean(ib-heavy)", heavyGeo}} {
-			row := []string{g.name}
-			for i := range specs {
-				row = append(row, fmtF(Geomean(g.geos[i]))+"x")
+		for i, wl := range r.suite() {
+			res, err := r.Run(wl, arch, SpecAdaptive)
+			if err != nil {
+				return err
 			}
-			rows = append(rows, append(row, "-", "-"))
+			rows[i] = append(rows[i],
+				fmt.Sprintf("%d", res.Prof.AdaptPromotions),
+				fmt.Sprintf("%d", res.Prof.AdaptDemotions))
+		}
+		rows = append(rows, heavyRows[len(heavy)])
+		for i := len(r.suite()); i < len(rows); i++ {
+			rows[i] = append(rows[i], "-", "-")
 		}
 		fmt.Fprintf(w, "adaptive vs best static configuration of each mechanism (%s):\n", arch)
-		textplot.Table(w, headers, rows)
+		textplot.Table(w, append(append([]string{"workload"}, names...), "promo", "demo"), rows)
 
 		// The one-line verdict: adaptive against the best static LOOKUP
 		// mechanism, judged on the IB-heavy subset where the choice
@@ -91,16 +74,14 @@ func runE18(r *Runner, w io.Writer) error {
 		// a translation policy that sacrifices return-address
 		// transparency, so it is not a pick the per-site selector could
 		// have made.
+		fastRet := slices.Index(specs, SpecFastRet)
 		bestName, best := "", math.Inf(1)
 		for i := 1; i < len(specs); i++ {
-			if specs[i] == SpecFastRet {
-				continue
-			}
-			if gm := Geomean(heavyGeo[i]); gm < best {
-				bestName, best = names[i], gm
+			if i != fastRet && heavyGeo[i] < best {
+				bestName, best = names[i], heavyGeo[i]
 			}
 		}
-		ad := Geomean(heavyGeo[0])
+		ad := heavyGeo[0]
 		verdict := "matches"
 		switch {
 		case ad < best-0.005:
@@ -108,14 +89,8 @@ func runE18(r *Runner, w io.Writer) error {
 		case ad > best+0.005:
 			verdict = "trails"
 		}
-		var fr float64
-		for i, spec := range specs {
-			if spec == SpecFastRet {
-				fr = Geomean(heavyGeo[i])
-			}
-		}
 		fmt.Fprintf(w, "\n%s, ib-heavy: adaptive %.2fx %s best static lookup %s (%.2fx); fastret+ibtc %.2fx (transparency-sacrificing)\n\n",
-			arch, ad, verdict, bestName, best, fr)
+			arch, ad, verdict, bestName, best, heavyGeo[fastRet])
 	}
 	fmt.Fprintln(w, "(promo/demo columns are the adaptive run's tier changes on that\n workload; each one re-translates a single owning fragment in place)")
 	return nil
@@ -157,7 +132,7 @@ func runE17(r *Runner, w io.Writer) error {
 		row := []string{wl, fmtF(naive.Slowdown()) + "x"}
 		geos[0] = append(geos[0], naive.Slowdown())
 		for i, c := range cols {
-			res, err := r.RunWithHandler(wl, "x86", c.name, c.mk, false)
+			res, err := r.RunWithHandler(wl, "x86", c.name, c.mk)
 			if err != nil {
 				return err
 			}
@@ -186,46 +161,25 @@ func runE17(r *Runner, w io.Writer) error {
 // ---- E16: traces ---------------------------------------------------------------
 
 func runE16(r *Runner, w io.Writer) error {
-	if err := r.grid(r.suite(), []string{"x86"},
-		[]string{SpecIBTC, "trace+" + SpecIBTC, SpecFastRet}); err != nil {
+	traced := "trace+" + SpecIBTC
+	rows, _, err := r.slowdownTable(r.suite(), "x86", []string{SpecIBTC, traced, SpecFastRet}, "geomean")
+	if err != nil {
 		return err
 	}
-	headers := []string{"workload", "ibtc", "trace+ibtc", "fastret+ibtc", "guard hit%", "traces"}
-	var rows [][]string
-	var plain, traced, fast []float64
-	for _, wl := range r.suite() {
-		p, err := r.Run(wl, "x86", SpecIBTC)
+	for i, wl := range r.suite() {
+		tr, err := r.Run(wl, "x86", traced)
 		if err != nil {
 			return err
 		}
-		tr, err := r.Run(wl, "x86", "trace+"+SpecIBTC)
-		if err != nil {
-			return err
-		}
-		fr, err := r.Run(wl, "x86", SpecFastRet)
-		if err != nil {
-			return err
-		}
-		plain = append(plain, p.Slowdown())
-		traced = append(traced, tr.Slowdown())
-		fast = append(fast, fr.Slowdown())
 		guardRate := 0.0
 		if tot := tr.Prof.TraceGuardHits + tr.Prof.TraceGuardMisses; tot > 0 {
 			guardRate = 100 * float64(tr.Prof.TraceGuardHits) / float64(tot)
 		}
-		rows = append(rows, []string{
-			wl,
-			fmtF(p.Slowdown()) + "x",
-			fmtF(tr.Slowdown()) + "x",
-			fmtF(fr.Slowdown()) + "x",
-			fmt.Sprintf("%.1f", guardRate),
-			fmt.Sprintf("%d", tr.Prof.TracesFormed),
-		})
+		rows[i] = append(rows[i], fmt.Sprintf("%.1f", guardRate), fmt.Sprintf("%d", tr.Prof.TracesFormed))
 	}
-	rows = append(rows, []string{"geomean",
-		fmtF(Geomean(plain)) + "x", fmtF(Geomean(traced)) + "x", fmtF(Geomean(fast)) + "x", "-", "-"})
+	rows[len(rows)-1] = append(rows[len(rows)-1], "-", "-")
 	fmt.Fprintln(w, "NET-style traces with speculative IB guards (x86):")
-	textplot.Table(w, headers, rows)
+	textplot.Table(w, []string{"workload", "ibtc", "trace+ibtc", "fastret+ibtc", "guard hit%", "traces"}, rows)
 	fmt.Fprintln(w, "\n(a trace guard turns an on-trace monomorphic IB into one compare,\n buying part of fast returns' win without sacrificing transparency)")
 	return nil
 }
@@ -272,31 +226,12 @@ func runE13(r *Runner, w io.Writer) error {
 
 func runE15(r *Runner, w io.Writer) error {
 	specs := []string{"ibtc:16", "ibtc:16:4way", "ibtc:16:fib", "ibtc:256", "ibtc:256:4way", "ibtc:16384"}
-	if err := r.grid(ibHeavy, []string{"x86"}, specs); err != nil {
+	rows, _, err := r.slowdownTable(ibHeavy, "x86", specs, "geomean")
+	if err != nil {
 		return err
 	}
-	headers := append([]string{"workload"}, specs...)
-	var rows [][]string
-	geo := make([][]float64, len(specs))
-	for _, wl := range ibHeavy {
-		row := []string{wl}
-		for i, spec := range specs {
-			res, err := r.Run(wl, "x86", spec)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmtF(res.Slowdown())+"x")
-			geo[i] = append(geo[i], res.Slowdown())
-		}
-		rows = append(rows, row)
-	}
-	grow := []string{"geomean"}
-	for i := range specs {
-		grow = append(grow, fmtF(Geomean(geo[i]))+"x")
-	}
-	rows = append(rows, grow)
 	fmt.Fprintln(w, "IBTC organization at fixed capacity (x86, IB-heavy subset):")
-	textplot.Table(w, headers, rows)
+	textplot.Table(w, append([]string{"workload"}, specs...), rows)
 	fmt.Fprintln(w, "\n(associativity and hash quality matter only near the capacity knee;\n a big direct-mapped table dominates both, which is why SDTs ship one)")
 	return nil
 }

@@ -230,11 +230,11 @@ func New(cfg Config) (*Cluster, error) {
 		stop:       make(chan struct{}),
 	}
 	v, err := c.makeView(0, cfg.Peers, nil)
+	if errors.Is(err, errSelfExcluded) {
+		return nil, fmt.Errorf("cluster: self %s is not in the peer list (every member must share one membership list)", selfName)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if !v.self.self || v.self.name != selfName {
-		return nil, fmt.Errorf("cluster: self %s is not in the peer list (every member must share one membership list)", selfName)
 	}
 	c.cur.Store(v)
 	return c, nil

@@ -37,17 +37,21 @@ func twoNode(t *testing.T, ts *httptest.Server, cfg Config) (*Cluster, string) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Self: "http://a:1", Peers: []string{"http://b:2"}}); err == nil {
-		t.Fatal("self outside the membership list accepted")
+	tests := []struct {
+		name  string
+		peers []string
+		want  string // substring of the error
+	}{
+		{"self outside the membership list", []string{"http://b:2"}, "self a:1 is not in the peer list"},
+		{"duplicate peer", []string{"http://a:1", "http://a:1/"}, "duplicate peer a:1"},
+		{"non-http peer", []string{"http://a:1", "ftp://b:2"}, "scheme must be http or https"},
+		{"peer url with a path", []string{"http://a:1", "http://b:2/base"}, "with no path"},
 	}
-	if _, err := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://a:1/"}}); err == nil {
-		t.Fatal("duplicate peer accepted")
-	}
-	if _, err := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "ftp://b:2"}}); err == nil {
-		t.Fatal("non-http peer accepted")
-	}
-	if _, err := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://b:2/base"}}); err == nil {
-		t.Fatal("peer url with a path accepted")
+	for _, tt := range tests {
+		_, err := New(Config{Self: "http://a:1", Peers: tt.peers})
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tt.name, err, tt.want)
+		}
 	}
 }
 

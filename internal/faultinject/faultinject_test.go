@@ -221,11 +221,11 @@ func TestParsePlanInlineAndFile(t *testing.T) {
 		t.Fatalf("file ParsePlan = (%+v, %v)", p, err)
 	}
 	for _, bad := range []string{
-		`{"points": [{"site": "", "class": "io", "prob": 1}]}`,          // empty site
-		`{"points": [{"site": "x", "class": "nope", "prob": 1}]}`,       // unknown class
-		`{"points": [{"site": "x", "class": "io", "prob": 2}]}`,         // prob out of range
-		`{"points": [{"site": "x", "class": "io"}]}`,                    // never fires
-		`{"points": [{"site": "x", "class": "io", "prob": 1, "every": 2}]}`, // both cadences
+		`{"points": [{"site": "", "class": "io", "prob": 1}]}`,                                           // empty site
+		`{"points": [{"site": "x", "class": "nope", "prob": 1}]}`,                                        // unknown class
+		`{"points": [{"site": "x", "class": "io", "prob": 2}]}`,                                          // prob out of range
+		`{"points": [{"site": "x", "class": "io"}]}`,                                                     // never fires
+		`{"points": [{"site": "x", "class": "io", "prob": 1, "every": 2}]}`,                              // both cadences
 		`{"points": [{"site": "x", "class": "io", "prob": 1}, {"site": "x", "class": "io", "prob": 1}]}`, // dup site
 		`{"unknown_field": 1}`, // strict decoding
 		`/no/such/file.json`,   // missing file

@@ -227,7 +227,7 @@ func X86() *Model {
 		BTB:              predictor.DirectMapped(512),
 		RAS:              predictor.FixedDepth(16),
 		CodeBytesPerInst: 6, StubBytes: 16,
-		SuperOps:         x86SuperOpsTable,
+		SuperOps: x86SuperOpsTable,
 		// Expensive flag spills and indirect mispredictions: tolerate more
 		// distinct targets in the IBTC tier before paying for sieve chains
 		// (every sieve probe saves eflags).
@@ -302,7 +302,7 @@ func ARM() *Model {
 		RAS:              predictor.RASConfig{Depth: 8, Overflow: predictor.OverflowWrap, Repair: predictor.RepairTop},
 		BTBL2HitPenalty:  2,
 		CodeBytesPerInst: 4, StubBytes: 12,
-		SuperOps:         armSuperOpsTable,
+		SuperOps: armSuperOpsTable,
 		// Cheap mispredictions and small caches: middle ground between the
 		// two paper models.
 		Adaptive: AdaptiveParams{
@@ -340,7 +340,7 @@ func SPARC() *Model {
 		BTB:              predictor.DirectMapped(128),
 		RAS:              predictor.FixedDepth(8),
 		CodeBytesPerInst: 8, StubBytes: 16,
-		SuperOps:         sparcSuperOpsTable,
+		SuperOps: sparcSuperOpsTable,
 		// Flags are free, so sieve chains are cheap: promote to the sieve
 		// tier at a low distinct-target count.
 		Adaptive: AdaptiveParams{

@@ -128,9 +128,9 @@ var registry = []*Entry{
 		Policy:  true,
 		Sweep: []string{
 			"trace+ibtc:16",
-			"trace:3+ibtc:16",          // eager formation: traces carry most of the run
-			"trace:3:nosuper+ibtc:16",  // superblocks without super-op fusion (ablation)
-			"trace:3:2+ibtc:16",        // minimum trace length: two-fragment superblocks
+			"trace:3+ibtc:16",         // eager formation: traces carry most of the run
+			"trace:3:nosuper+ibtc:16", // superblocks without super-op fusion (ablation)
+			"trace:3:2+ibtc:16",       // minimum trace length: two-fragment superblocks
 			"trace+retcache:16+sieve:16",
 			"trace+fastret+inline:2+ibtc:16",
 		},

@@ -32,7 +32,9 @@ package workload
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 
 	"sdt/internal/asm"
 	"sdt/internal/program"
@@ -89,6 +91,35 @@ func (s *Spec) Image(scale int) (*program.Image, error) {
 	}
 	img.Name = s.Name
 	return img, nil
+}
+
+// Load returns the guest image a command line names: the built-in
+// workload name at scale when name is set, otherwise the one program file
+// in args, assembled when it ends in ".s" and read as a serialized image
+// otherwise.
+func Load(name string, scale int, args []string) (*program.Image, error) {
+	switch {
+	case name != "":
+		s, err := Get(name)
+		if err != nil {
+			return nil, err
+		}
+		return s.Image(scale)
+	case len(args) == 1 && strings.HasSuffix(args[0], ".s"):
+		src, err := os.ReadFile(args[0])
+		if err != nil {
+			return nil, err
+		}
+		return asm.Assemble(args[0], string(src))
+	case len(args) == 1:
+		f, err := os.Open(args[0])
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return program.Read(f)
+	}
+	return nil, fmt.Errorf("no program: give -w workload or one prog.s|prog.img argument")
 }
 
 var registry = map[string]*Spec{}

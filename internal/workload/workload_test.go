@@ -1,6 +1,10 @@
 package workload_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"sdt/internal/core"
@@ -241,5 +245,48 @@ func TestGenerateStableAcrossCalls(t *testing.T) {
 	s, _ := workload.Get("perlbmk")
 	if s.Generate(5) != s.Generate(5) {
 		t.Error("Generate is not deterministic")
+	}
+}
+
+// Load serves the CLIs: a workload name, a ".s" source or a serialized
+// image must give the same program, and no program at all is an error.
+func TestLoad(t *testing.T) {
+	want, err := workload.Load("gzip", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := workload.Get("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "gzip.s")
+	if err := os.WriteFile(src, []byte(s.Generate(2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := want.WriteTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "gzip.img")
+	if err := os.WriteFile(bin, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{src, bin} {
+		got, err := workload.Load("", 0, []string{path})
+		if err != nil {
+			t.Fatalf("Load(%s): %v", path, err)
+		}
+		if !slices.Equal(got.Code, want.Code) || !bytes.Equal(got.Data, want.Data) {
+			t.Errorf("Load(%s) differs from the gzip workload", path)
+		}
+	}
+	for _, args := range [][]string{nil, {src, bin}} {
+		if _, err := workload.Load("", 0, args); err == nil {
+			t.Errorf("Load with args %q: no error", args)
+		}
+	}
+	if _, err := workload.Load("nosuch", 0, nil); err == nil {
+		t.Error("unknown workload accepted")
 	}
 }

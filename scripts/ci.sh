@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
-# Full CI gate: vet, build, race-enabled tests, a short fuzz smoke of
+# Full CI gate: gofmt, vet, build, race-enabled tests, a short fuzz smoke of
 # every fuzz target, and a single-iteration bench smoke. Strictly a
 # superset of the tier-1 check (go build ./... && go test ./...).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FUZZTIME=${FUZZTIME:-10s}
+
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "==> go vet"
 go vet ./...

@@ -210,11 +210,12 @@ func Slowdown(img *Image, arch, mech string, limit uint64) (float64, error) {
 }
 
 // NewExperimentRunner returns a Runner for the paper's experiments
-// (E1..E15). Use RunExperiment or the sdtbench command to execute them.
+// (E1–E18 without E14; see ExperimentIDs). Use RunExperiment or the
+// sdtbench command to execute them.
 func NewExperimentRunner() *ExperimentRunner { return bench.NewRunner() }
 
-// RunExperiment executes one paper experiment by ID ("E1".."E15"), writing
-// its tables and figures to w.
+// RunExperiment executes one paper experiment by ID ("E1".."E18", no
+// "E14"), writing its tables and figures to w.
 func RunExperiment(r *ExperimentRunner, id string, w io.Writer) error {
 	e, err := bench.ByID(id)
 	if err != nil {
