@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 )
 
 // ErrNoJournal marks an adoption that found no journal anywhere: no
@@ -42,20 +43,25 @@ func (v *View) journalTargets(id string) []*Peer {
 // coordinator dies. Shipping is asynchronous and latest-wins: the
 // journal is a cumulative snapshot, so only the newest state matters
 // and a slow successor coalesces intermediate versions instead of
-// queueing them. The journal bytes are opaque here.
+// queueing them. Each snapshot goes to every target at once; a target
+// that is down is skipped, and one whose push fails is dropped for the
+// rest of the sweep, as the coordinator distrusts a failed shard, so a
+// successor that never answers costs one FetchTimeout per sweep. The
+// journal bytes are opaque here.
 type JournalShipper struct {
 	c       *Cluster
 	id      string
-	targets []*Peer
+	targets []*Peer // owned by run, then by Finish
 	onPush  func(p *Peer, err error)
 	ch      chan []byte
 	done    chan struct{}
 }
 
 // ShipJournal starts shipping sweep id's journal to its successors on
-// v, the view the sweep is pinned to (targets stay fixed for the sweep,
+// v, the view the sweep is pinned to (targets are chosen at sweep start,
 // like its partitioning). onPush hears the outcome of every snapshot
-// push to every target. It returns nil when v has no other member.
+// push to every target, possibly from several goroutines at once. It
+// returns nil when v has no other member.
 func (c *Cluster) ShipJournal(v *View, id string, onPush func(p *Peer, err error)) *JournalShipper {
 	targets := v.journalTargets(id)
 	if len(targets) == 0 {
@@ -74,7 +80,7 @@ func (c *Cluster) ShipJournal(v *View, id string, onPush func(p *Peer, err error
 }
 
 // Push hands the shipper a freshly persisted journal. It has a single
-// producer: the coordinator's finalize path, serialized by its mutex.
+// producer: the coordinator's tally, serialized by its lock.
 func (js *JournalShipper) Push(data []byte) {
 	select {
 	case <-js.ch: // drop the stale snapshot
@@ -91,20 +97,45 @@ func (js *JournalShipper) Finish(complete bool) {
 	close(js.ch)
 	<-js.done
 	if complete {
-		for _, p := range js.targets {
-			js.c.do(context.Background(), peerReq{method: http.MethodDelete, url: p.url + PeerJournalPath + js.id})
-		}
+		js.send(http.MethodDelete, nil)
 	}
 }
 
 func (js *JournalShipper) run() {
 	defer close(js.done)
 	for data := range js.ch {
-		for _, p := range js.targets {
-			_, _, err := js.c.do(context.Background(), peerReq{method: http.MethodPut, url: p.url + PeerJournalPath + js.id, body: data, sealed: true})
-			js.onPush(p, err)
+		js.send(http.MethodPut, data)
+	}
+}
+
+// send makes one journal request of every target that is up, all at
+// once, and drops the targets it failed on. Pushes (PUT) are reported
+// to onPush.
+func (js *JournalShipper) send(method string, body []byte) {
+	failed := make([]bool, len(js.targets))
+	var wg sync.WaitGroup
+	for i, p := range js.targets {
+		if !p.Up() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := js.c.do(context.Background(), peerReq{method: method, url: p.url + PeerJournalPath + js.id, body: body, sealed: true})
+			if method == http.MethodPut {
+				js.onPush(p, err)
+			}
+			failed[i] = err != nil
+		}()
+	}
+	wg.Wait()
+	kept := js.targets[:0]
+	for i, p := range js.targets {
+		if !failed[i] {
+			kept = append(kept, p)
 		}
 	}
+	js.targets = kept
 }
 
 // FetchJournal walks sweep id's journal successors on the current view

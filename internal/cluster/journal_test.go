@@ -22,6 +22,13 @@ import (
 // whatever ports the servers got.
 func journalFleet(t *testing.T, id string, handlers ...http.HandlerFunc) (*Cluster, []*Peer) {
 	t.Helper()
+	return journalFleetWith(t, Config{ProbeInterval: -1}, id, handlers...)
+}
+
+// journalFleetWith is journalFleet on a cluster built from cfg, whose
+// Self and Peers it fills in.
+func journalFleetWith(t *testing.T, cfg Config, id string, handlers ...http.HandlerFunc) (*Cluster, []*Peer) {
+	t.Helper()
 	var mu sync.Mutex
 	byHost := make(map[string]http.HandlerFunc)
 	self := "http://127.0.0.1:1"
@@ -36,7 +43,8 @@ func journalFleet(t *testing.T, id string, handlers ...http.HandlerFunc) (*Clust
 		t.Cleanup(ts.Close)
 		peers = append(peers, ts.URL)
 	}
-	c, err := New(Config{Self: self, Peers: peers, ProbeInterval: -1})
+	cfg.Self, cfg.Peers = self, peers
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +214,74 @@ func TestJournalShipperLatestWinsAndTombstone(t *testing.T) {
 		if len(pushes) != 2 || pushes[0] != nil || pushes[1] != nil {
 			t.Errorf("complete=%v: push outcomes %v, want 2 clean pushes", complete, pushes)
 		}
+	}
+}
+
+// The shipper sends each snapshot to every target at once, skips a
+// target that is down, and drops one whose push failed for the rest of
+// the sweep: a successor that never answers costs one FetchTimeout per
+// sweep, not one per snapshot and tombstone.
+func TestJournalShipperSkipsDownAndDropsFailed(t *testing.T) {
+	const (
+		id      = "ship-around"
+		timeout = 250 * time.Millisecond
+	)
+	release := make(chan struct{})
+	defer close(release) // before the fleet's servers close
+	var mu sync.Mutex
+	seen := make(map[int][]string)
+	serve := func(i int, silent bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen[i] = append(seen[i], r.Method)
+			mu.Unlock()
+			if silent {
+				<-release
+				return
+			}
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}
+	c, order := journalFleetWith(t, Config{Replication: 4, ProbeInterval: -1, FetchTimeout: timeout}, id,
+		serve(0, true), serve(1, false), serve(2, false))
+	order[1].MarkDown()
+	pushes := make(map[*Peer][]error)
+	js := c.ShipJournal(c.CurrentView(), id, func(p *Peer, err error) {
+		mu.Lock()
+		pushes[p] = append(pushes[p], err)
+		mu.Unlock()
+	})
+	start := time.Now()
+	js.Push([]byte("v1"))
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		pushed := len(pushes[order[0]]) > 0 && len(pushes[order[2]]) > 0
+		mu.Unlock()
+		if pushed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first snapshot's pushes never finished")
+		}
+	}
+	js.Push([]byte("v2"))
+	js.Finish(true)
+	if d := time.Since(start); d > 2*timeout {
+		t.Errorf("shipping past a silent successor took %s, want about one FetchTimeout (%s)", d, timeout)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, want := range []string{"PUT", "", "PUT,PUT,DELETE"} {
+		if got := strings.Join(seen[i], ","); got != want {
+			t.Errorf("target %d saw %q, want %q", i, got, want)
+		}
+	}
+	if errs := pushes[order[0]]; len(errs) != 1 || errs[0] == nil {
+		t.Errorf("silent target push outcomes %v, want one failure", errs)
+	}
+	if errs := pushes[order[2]]; len(errs) != 2 || errs[0] != nil || errs[1] != nil {
+		t.Errorf("live target push outcomes %v, want two clean pushes", errs)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"sdt/internal/cluster"
 	"sdt/internal/sweep"
@@ -41,13 +40,9 @@ type ShardRequest struct {
 // cache provenance — so the merged output of an N-node sweep is
 // byte-identical to a 1-node run of the same request. Heartbeat
 // progress records (type "progress") are the one timing-dependent
-// exception; deterministic consumers filter them out.
+// exception; deterministic consumers filter them out. The start record
+// is SweepStart, as on /v1/sweep.
 type (
-	clusterStart struct {
-		Type    string `json:"type"` // "start"
-		Total   int    `json:"total"`
-		Resumed int    `json:"resumed,omitempty"`
-	}
 	clusterCell struct {
 		Type     string          `json:"type"` // "cell"
 		Index    int             `json:"index"`
@@ -97,7 +92,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		seen[idx] = true
 		work = append(work, idxCell{idx: idx, cell: cells[idx]})
 	}
-	s.streamSweep(w, r, &req.Sweep, work, nil, nil, true)
+	s.streamSweep(w, r, &req.Sweep, work, nil, nil, kindShard)
 }
 
 // reassignable reports whether a shard cell record describes work that
@@ -116,7 +111,6 @@ func reassignable(e *ErrorInfo) bool {
 // it degenerates to a single local shard — emitting the same canonical
 // stream, which is what makes N-node output comparable to 1-node.
 func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req SweepRequest
 	m, ok := s.readSweep(w, r, &req, &req)
 	if !ok {
@@ -135,12 +129,11 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Checkpointing works exactly as on /v1/sweep: the journal lives on
 	// the coordinator, binding cell indices to store keys. Keys are
-	// location-independent, so a resumed coordinator replays what it
-	// holds locally and lets the content-addressed store (local tiers,
-	// then peers) absorb the rest without re-execution. ?adopt=<id>
-	// additionally pulls a dead coordinator's replicated journal from
-	// the fleet, letting a survivor take the sweep over (the client
-	// resubmits the same request body to the survivor).
+	// location-independent, so a resumed coordinator replays what the
+	// store holds (local tiers, then peers) without re-execution.
+	// ?adopt=<id> additionally pulls a dead coordinator's replicated
+	// journal from the fleet, letting a survivor take the sweep over
+	// (the client resubmits the same request body to the survivor).
 	var adopt func(id string) bool
 	if id := r.URL.Query().Get("adopt"); id != "" {
 		req.ID = id
@@ -160,7 +153,6 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var shipper *cluster.JournalShipper
 	if jr != nil {
 		if adopt != nil {
 			s.met.sweepsAdopted.Inc()
@@ -168,7 +160,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		if view != nil {
 			// Replicate the journal as it checkpoints, so this sweep is
 			// in turn adoptable if this coordinator dies.
-			shipper = s.cfg.Cluster.ShipJournal(view, req.ID, func(p *cluster.Peer, err error) {
+			jr.shipper = s.cfg.Cluster.ShipJournal(view, req.ID, func(p *cluster.Peer, err error) {
 				if err != nil {
 					s.met.journalPushes.get(outcomeError).Inc()
 					s.cfg.Log.Printf("journal %s push to %s failed: %v", req.ID, p.Name(), err)
@@ -176,124 +168,55 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 				}
 				s.met.journalPushes.get(outcomeOK).Inc()
 			})
-			if shipper != nil {
-				jr.onPersist = shipper.Push
-			}
 		}
 	}
 
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	defer s.unregisterSweep(s.registerSweep(cancel))
-
-	canonical := func(ic idxCell, result json.RawMessage, e *ErrorInfo) clusterCell {
-		return clusterCell{
-			Type:     "cell",
-			Index:    ic.idx,
-			Workload: ic.cell.Workload,
-			Arch:     ic.cell.Arch,
-			Mech:     ic.cell.Mech,
-			Scale:    ic.cell.Scale,
-			Result:   result,
-			Error:    e,
-		}
-	}
 	// Plan every cell: validate and derive its store key. Planning
 	// compiles each workload|scale image once (memoized in s.images).
 	// Invalid cells become canonical error records without dispatch;
-	// journaled cells whose bytes are still held locally are replayed.
-	var invalid, replays []clusterCell
+	// journaled cells whose bytes the store still holds are replayed.
+	var early []clusterCell // invalid and replayed cells, in matrix order
+	replayed := 0
 	pending := make(map[int]idxCell, len(cells))
 	for i, c := range cells {
-		key, _, _, err := s.prepareCell(ctx, c, &req)
+		key, _, _, err := s.prepareCell(r.Context(), c, &req)
 		ic := idxCell{idx: i, cell: c, key: key}
 		if err != nil {
 			_, e := cellOutcome(err, nil)
-			invalid = append(invalid, canonical(ic, nil, e))
-			continue
+			early = append(early, clusterRecord(ic, nil, e))
+		} else if data, ok := s.replay(jr, i); ok {
+			early = append(early, clusterRecord(ic, data, nil))
+			replayed++
+		} else {
+			pending[i] = ic
 		}
-		if data, ok := s.replay(jr, i); ok {
-			replays = append(replays, canonical(ic, data, nil))
-			continue
-		}
-		pending[i] = ic
 	}
 
-	emit := s.startStream(w, r)
-	var wmu sync.Mutex // the merge and the heartbeat write from different goroutines
-	writeRec := func(v any) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		emit(v)
-	}
-	writeRec(clusterStart{Type: "start", Total: len(cells), Resumed: len(replays)})
-
+	st := s.startSweep(w, r, kindCluster, len(cells), replayed, jr)
 	merge := cluster.NewMerge[clusterCell](func(_ int, rec clusterCell) {
-		writeRec(rec)
+		st.write(rec)
 	})
-
-	var (
-		mu       sync.Mutex // guards counters, alive, pending, jr
-		done     int
-		errCount int
-		canceled int
-	)
-	for _, rec := range invalid {
-		errCount++
-		s.met.clusterCells.get(outcomeError).Inc()
-		merge.Add(rec.Index, rec)
-	}
-	for _, rec := range replays {
-		done++
-		s.met.clusterCells.get(outcomeOK).Inc()
-		s.met.sweepReplayed.Inc()
+	for _, rec := range early {
+		if rec.Error != nil {
+			st.tally(rec.Index, "", rec.Error)
+		}
 		merge.Add(rec.Index, rec)
 	}
 
+	var mu sync.Mutex // guards pending and alive
 	// finalize merges one dispatched cell's terminal outcome. Called
 	// concurrently from local shard engines and peer stream readers.
 	finalize := func(ic idxCell, result json.RawMessage, e *ErrorInfo) {
 		mu.Lock()
-		if _, live := pending[ic.idx]; !live {
-			mu.Unlock()
+		_, live := pending[ic.idx]
+		delete(pending, ic.idx)
+		mu.Unlock()
+		if !live {
 			return // duplicate delivery (e.g. a record racing a reassignment)
 		}
-		delete(pending, ic.idx)
-		switch {
-		case e == nil:
-			done++
-			s.met.clusterCells.get(outcomeOK).Inc()
-			if jr != nil {
-				jr.record(ic.idx, ic.key)
-			}
-		case reassignable(e):
-			canceled++
-			s.met.clusterCells.get(outcomeCanceled).Inc()
-		default:
-			errCount++
-			s.met.clusterCells.get(outcomeError).Inc()
-		}
-		mu.Unlock()
-		merge.Add(ic.idx, canonical(ic, result, e))
+		st.tally(ic.idx, ic.key, e)
+		merge.Add(ic.idx, clusterRecord(ic, result, e))
 	}
-
-	heartbeat := time.NewTicker(s.cfg.SweepHeartbeat)
-	hbStop, hbDone := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		defer heartbeat.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-heartbeat.C:
-				mu.Lock()
-				p := SweepProgress{Type: "progress", Done: done, Errors: errCount, Total: len(cells)}
-				mu.Unlock()
-				writeRec(p)
-			}
-		}
-	}()
 
 	// Liveness for this sweep: start from the prober's view, and stop
 	// trusting any peer whose shard fails mid-flight. Once distrusted a
@@ -306,7 +229,6 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			alive[p] = p.Up()
 		}
 	}
-	reassigned := 0
 	for round := 0; ; round++ {
 		mu.Lock()
 		if len(pending) == 0 {
@@ -314,7 +236,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if round > 0 {
-			reassigned += len(pending)
+			st.reassigned += len(pending)
 			s.met.clusterReassigned.Add(uint64(len(pending)))
 		}
 		idxs := make([]int, 0, len(pending))
@@ -342,7 +264,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 				wg.Add(1)
 				go func(batch []idxCell) {
 					defer wg.Done()
-					s.newEngine(&req).Stream(ctx, batch, func(o sweep.Outcome[idxCell, cellValue]) {
+					s.newEngine(&req).Stream(st.ctx, batch, func(o sweep.Outcome[idxCell, cellValue]) {
 						result, e := cellOutcome(o.Err, o.Result.data)
 						finalize(o.Item, result, e)
 					})
@@ -352,9 +274,14 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(p *cluster.Peer, batch []idxCell) {
 				defer wg.Done()
-				if err := s.dispatchShard(ctx, p, &req, batch, view.Epoch(), finalize); err != nil {
-					s.cfg.Log.Printf("cluster sweep: shard on %s failed: %v", p.Name(), err)
-					p.MarkDown()
+				if err := s.dispatchShard(st.ctx, p, &req, batch, view.Epoch(), finalize); err != nil {
+					if st.ctx.Err() == nil {
+						// The peer failed, not this sweep's own context
+						// (a drain or the client leaving): the fleet stops
+						// trusting it too.
+						s.cfg.Log.Printf("cluster sweep: shard on %s failed: %v", p.Name(), err)
+						p.MarkDown()
+					}
 					mu.Lock()
 					alive[p] = false
 					mu.Unlock()
@@ -363,32 +290,21 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 	}
-	// Wait for the heartbeat to exit: a tick that wins its select after
-	// hbStop closes must not write past the done record, nor after the
-	// handler has returned and the ResponseWriter is gone.
-	close(hbStop)
-	<-hbDone
+	st.finish()
+}
 
-	mu.Lock()
-	complete := done == len(cells)
-	if jr != nil {
-		if complete {
-			jr.remove()
-		} else {
-			jr.persist()
-		}
+// clusterRecord is the canonical stream record of one cell.
+func clusterRecord(ic idxCell, result json.RawMessage, e *ErrorInfo) clusterCell {
+	return clusterCell{
+		Type:     "cell",
+		Index:    ic.idx,
+		Workload: ic.cell.Workload,
+		Arch:     ic.cell.Arch,
+		Mech:     ic.cell.Mech,
+		Scale:    ic.cell.Scale,
+		Result:   result,
+		Error:    e,
 	}
-	final := clusterDone{Type: "done", Done: done, Errors: errCount, Canceled: canceled, Total: len(cells)}
-	mu.Unlock()
-	if shipper != nil {
-		// Flush the final journal state to the successors (or, on full
-		// completion, tombstone their copies) before answering.
-		shipper.Finish(complete)
-	}
-	writeRec(final)
-	s.met.clusterSweeps.get(outcomeLabel(context.Cause(ctx))).Inc()
-	s.cfg.Log.Printf("cluster sweep %d cells: done=%d errors=%d canceled=%d replayed=%d reassigned=%d elapsed=%s",
-		len(cells), final.Done, final.Errors, final.Canceled, len(replays), reassigned, time.Since(start).Round(time.Millisecond))
 }
 
 // dispatchShard sends one peer its shard and consumes the returned

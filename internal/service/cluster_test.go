@@ -444,23 +444,33 @@ func TestPeerOutageDegradesGracefully(t *testing.T) {
 	}
 }
 
-// The cluster stream's heartbeat goroutine must be gone before the done
-// record: a tick that raced the end of the sweep used to write a progress
-// record after done, or after the handler had returned, which panicked
-// the daemon on the dead ResponseWriter.
-func TestClusterSweepHeartbeatEndsBeforeDone(t *testing.T) {
+// Every sweep route's heartbeat must be gone before the done record: a
+// tick that raced the end of the sweep used to write a progress record
+// after done, or after the handler had returned, which panicked the
+// daemon on the dead ResponseWriter. The three routes share one
+// heartbeat, and each stream must end on its done record.
+func TestSweepHeartbeatEndsBeforeDone(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, SweepHeartbeat: time.Microsecond})
 	req := SweepRequest{Workloads: []string{"gzip"}, Mechs: []string{"ibtc:256"}, Limit: 20_000_000}
-	for i := 0; i < 200; i++ {
-		status, lines := postLines(t, ts.URL+"/v1/cluster/sweep", req)
-		if status != http.StatusOK {
-			t.Fatalf("sweep %d: status = %d", i, status)
-		}
-		var last struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != "done" {
-			t.Fatalf("sweep %d: last record %s, want the done record", i, lines[len(lines)-1])
+	for _, route := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/sweep", req},
+		{"/v1/sweep/shard", ShardRequest{Sweep: req, Cells: []int{0}}},
+		{"/v1/cluster/sweep", req},
+	} {
+		for i := 0; i < 200; i++ {
+			status, lines := postLines(t, ts.URL+route.path, route.body)
+			if status != http.StatusOK {
+				t.Fatalf("%s sweep %d: status = %d", route.path, i, status)
+			}
+			var last struct {
+				Type string `json:"type"`
+			}
+			if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Type != "done" {
+				t.Fatalf("%s sweep %d: last record %s, want the done record", route.path, i, lines[len(lines)-1])
+			}
 		}
 	}
 }
@@ -611,11 +621,19 @@ func TestDrainCancelsSweepAndLeavesResumableJournal(t *testing.T) {
 		t.Fatalf("drained sweep done = %+v, want a partial matrix", done)
 	}
 	// Unfinished cells surface as canceled (caught mid-run) or draining
-	// (refused by the closing pool) — both resumable, nothing else.
+	// (refused by the closing pool) — both resumable, nothing else — and
+	// are tallied as canceled, never as errors, in the done record and
+	// in the metrics, as the coordinator tallies them.
 	for idx, rec := range cells {
 		if rec.Error != nil && rec.Error.Code != CodeCanceled && rec.Error.Code != CodeDraining {
 			t.Fatalf("cell %d failed with %q, want only drain codes", idx, rec.Error.Code)
 		}
+	}
+	if done.Errors != 0 || done.Canceled != done.Total-done.Done {
+		t.Fatalf("drained sweep done = %+v, want every unfinished cell canceled and none an error", done)
+	}
+	if got := s.met.sweepCells.get(outcomeError).Value(); got != 0 {
+		t.Fatalf("sdtd_sweep_cells_total{outcome=\"error\"} = %d after a drain, want 0", got)
 	}
 	jpath := filepath.Join(dir, "sweeps", req.ID+".json")
 	data, err := os.ReadFile(jpath)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"sdt/internal/cluster"
 	"sdt/internal/faultinject"
 	"sdt/internal/sweep"
 )
@@ -51,11 +52,11 @@ type sweepJournal struct {
 	faults *faultinject.Injector
 	onErr  func(error) // receives persistence failures (metrics + log)
 
-	// onPersist receives the marshalled journal after each successful
-	// local write. The cluster coordinator hooks it to replicate the
-	// journal to ring successors, making the checkpoint adoptable by a
-	// survivor if this coordinator dies (docs/CLUSTER.md).
-	onPersist func(data []byte)
+	// shipper, when set, receives the marshalled journal after each
+	// successful local write. The cluster coordinator sets it to
+	// replicate the journal to ring successors, making the checkpoint
+	// adoptable by a survivor if this coordinator dies (docs/CLUSTER.md).
+	shipper *cluster.JournalShipper
 }
 
 // sweepDigest canonically hashes the request fields that define cell
@@ -151,8 +152,8 @@ func (j *sweepJournal) persist() {
 		j.onErr(fmt.Errorf("writing sweep journal %s: %w", j.state.ID, err))
 		return
 	}
-	if j.onPersist != nil {
-		j.onPersist(data)
+	if j.shipper != nil {
+		j.shipper.Push(data)
 	}
 }
 

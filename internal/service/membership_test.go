@@ -367,6 +367,15 @@ func TestClusterSweepAdoptedBySurvivor(t *testing.T) {
 		t.Fatalf("drained cluster sweep done = %+v, want a partial matrix", done)
 	}
 
+	// The drain ended the coordinator's own sweep, cutting off the
+	// peer's shard stream; the peer did nothing wrong and stays up, so
+	// the final journal push reached it.
+	for _, p := range nodes[0].cl.CurrentView().Members() {
+		if !p.Up() {
+			t.Fatalf("the coordinator's drain marked %s down", p.Name())
+		}
+	}
+
 	// The tentpole artifact: the survivor holds a replicated copy of the
 	// dead coordinator's journal.
 	if _, err := os.Stat(filepath.Join(dirs[1], "sweeps", req.ID+".json")); err != nil {
@@ -468,15 +477,17 @@ func TestClusterSweepSpansMembershipChange(t *testing.T) {
 }
 
 // newNodeWithSilentPeer boots one clustered node (FetchTimeout 500 ms)
-// next to a fake fleet member that answers /healthz, refuses shards
-// with a 500, 404s everything else, and never answers the requests
-// silent matches. With member set the fake is in the boot membership;
-// otherwise the node starts solo. The fake is released before any
-// server closes: httptest.Server.Close waits for handlers, and a
-// handler stuck on the silent peer would deadlock it.
+// next to a fake fleet member that answers /healthz, runs the shards it
+// is sent on the node itself (so it stays trusted for the whole sweep),
+// 404s everything else, and never answers the requests silent matches.
+// With member set the fake is in the boot membership; otherwise the
+// node starts solo. The fake is released before any server closes:
+// httptest.Server.Close waits for handlers, and a handler stuck on the
+// silent peer would deadlock it.
 func newNodeWithSilentPeer(t *testing.T, member bool, silent func(r *http.Request) bool, mut func(cfg *Config)) (*clusterNode, *httptest.Server) {
 	t.Helper()
 	release := make(chan struct{})
+	sw := &switchable{}
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case silent(r):
@@ -484,13 +495,12 @@ func newNodeWithSilentPeer(t *testing.T, member bool, silent func(r *http.Reques
 		case r.URL.Path == "/healthz":
 			w.WriteHeader(http.StatusOK)
 		case r.URL.Path == "/v1/sweep/shard":
-			http.Error(w, "shard refused", http.StatusInternalServerError)
+			sw.ServeHTTP(w, r)
 		default:
 			http.NotFound(w, r)
 		}
 	}))
 	t.Cleanup(fake.Close)
-	sw := &switchable{}
 	ts := httptest.NewServer(sw)
 	peers := []string{ts.URL}
 	if member {
@@ -567,28 +577,67 @@ func postWithin(t *testing.T, d time.Duration, url string, body any) (int, []byt
 }
 
 // A journal successor that accepts the connection and never answers
-// must not hold back a checkpointed cluster sweep's done record: every
-// journal push is bounded by FetchTimeout.
+// must not hold back a checkpointed cluster sweep's done record by more
+// than one FetchTimeout: its first failed push drops it from the sweep,
+// so later snapshots and the tombstone do not wait on it again.
 func TestClusterSweepDoneWithSilentJournalSuccessor(t *testing.T) {
+	const fetchTimeout = 500 * time.Millisecond // newNodeWithSilentPeer's
 	node, _ := newNodeWithSilentPeer(t, true, func(r *http.Request) bool {
 		return r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, cluster.PeerJournalPath)
 	}, nil)
 	req := clusterMatrix
 	req.ID = "silent-successor"
-	status, body := postWithin(t, 5*time.Second, node.ts.URL+"/v1/cluster/sweep", req)
-	if status != http.StatusOK {
-		t.Fatalf("sweep status = %d: %s", status, body)
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-	var done clusterDone
-	if err := json.Unmarshal(lines[len(lines)-1], &done); err != nil || done.Type != "done" {
-		t.Fatalf("last record %s, want the done record", lines[len(lines)-1])
+	// Read the stream with each record's arrival time. The request
+	// finishes in the background if the test gives up on it, so the
+	// reader must not touch t.
+	type stamped struct {
+		at  time.Time
+		rec sweepRecord
 	}
+	got := make(chan []stamped, 1)
+	go func() {
+		var recs []stamped
+		defer func() { got <- recs }()
+		resp, err := http.Post(node.ts.URL+"/v1/cluster/sweep", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var rec sweepRecord
+			if dec.Decode(&rec) != nil {
+				return
+			}
+			recs = append(recs, stamped{time.Now(), rec})
+		}
+	}()
+	var recs []stamped
+	select {
+	case recs = <-got:
+	case <-time.After(20 * time.Second):
+		t.Fatal("cluster sweep still open after 20s")
+	}
+	if len(recs) < 2 || recs[len(recs)-1].rec.Type != "done" || recs[len(recs)-2].rec.Type != "cell" {
+		t.Fatalf("stream of %d records does not end on a cell and then the done record: %+v", len(recs), recs)
+	}
+	done := recs[len(recs)-1].rec
 	if done.Done != done.Total || done.Errors != 0 {
-		t.Fatalf("done = %+v, want every cell run locally", done)
+		t.Fatalf("done = %+v, want every cell run", done)
 	}
-	if got := node.s.met.journalPushes.get(outcomeError).Value(); got == 0 {
-		t.Fatal("no journal push to the silent successor was counted as failed")
+	// Between the last cell and the done record the coordinator only
+	// closes the journal. A shipper that kept pushing to the silent
+	// successor would spend up to three FetchTimeouts there (in-flight
+	// push, final push, tombstone).
+	if gap, bound := recs[len(recs)-1].at.Sub(recs[len(recs)-2].at), fetchTimeout+300*time.Millisecond; gap > bound {
+		t.Fatalf("done record %s after the last cell, want within one FetchTimeout plus slack (%s)", gap, bound)
+	}
+	if got := node.s.met.journalPushes.get(outcomeError).Value(); got != 1 {
+		t.Fatalf("%d journal pushes to the silent successor failed, want exactly 1 before it is dropped", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"sdt/internal/faultinject"
@@ -115,8 +116,9 @@ type (
 		Total  int    `json:"total"`
 	}
 	// SweepDone is the final record. Canceled counts cells that never
-	// ran (or were cut short) because the client went away or a cell
-	// deadline collapsed the request context.
+	// ran (or were cut short) because the client went away or a drain
+	// cut the sweep off (codes canceled and draining); such cells stay
+	// resumable from the journal.
 	SweepDone struct {
 		Type      string  `json:"type"` // "done"
 		Done      int     `json:"done"`
@@ -234,10 +236,12 @@ func (s *Server) openJournal(w http.ResponseWriter, r *http.Request, req *SweepR
 	return jr, true
 }
 
-// replay returns the stored bytes of a cell jr journaled as complete. A
-// journaled cell whose bytes are gone (evicted memory-only copy,
-// quarantined entry) is not replayable and falls back to execution —
-// the journal is an optimization, never an authority.
+// replay returns the stored bytes of a cell jr journaled as complete,
+// from the local tiers or, in a cluster, from the peer tier: a survivor
+// adopting a sweep may not yet hold a result its replica is still
+// sending. A journaled cell whose bytes are gone (evicted memory-only
+// copy, quarantined entry) is not replayable and falls back to
+// execution — the journal is an optimization, never an authority.
 func (s *Server) replay(jr *sweepJournal, idx int) ([]byte, bool) {
 	if jr == nil {
 		return nil, false
@@ -246,7 +250,7 @@ func (s *Server) replay(jr *sweepJournal, idx int) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.store.Get(key)
+	return s.store.Lookup(key)
 }
 
 // newEngine returns the sweep engine every sweep route runs its cells
@@ -322,7 +326,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		work = append(work, ic)
 	}
-	s.streamSweep(w, r, &req, work, replays, jr, false)
+	s.streamSweep(w, r, &req, work, replays, jr, kindSweep)
 }
 
 // startStream commits the response to a 200 NDJSON stream and returns
@@ -342,85 +346,131 @@ func (s *Server) startStream(w http.ResponseWriter, r *http.Request) func(v any)
 	}
 }
 
-// streamSweep is the response half of /v1/sweep and /v1/sweep/shard. It
-// streams the start record, then the journal replays, then one record
-// per work cell in completion order with heartbeats between, then the
-// done record. jr, when set, records every success and is removed once
-// every cell has succeeded. Shard streams attach each result's store
-// key.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, work []idxCell, replays []SweepCellRecord, jr *sweepJournal, shard bool) {
-	start := time.Now()
-	total := len(replays) + len(work)
+// streamKind is the sweep route a stream answers. It picks the route's
+// metrics, its done record and its log line.
+type streamKind int
+
+const (
+	kindSweep   streamKind = iota // /v1/sweep
+	kindShard                     // /v1/sweep/shard
+	kindCluster                   // /v1/cluster/sweep
+)
+
+// sweepStream is the response lifecycle every sweep route shares:
+// drain registration, the NDJSON writer, the start record, the
+// heartbeat, the outcome tally (which journals successes), the journal
+// close and the done record. The routes differ only in where cell
+// records come from: the local engine in completion order (/v1/sweep,
+// /v1/sweep/shard) or shards merged into matrix order
+// (/v1/cluster/sweep).
+type sweepStream struct {
+	s      *Server
+	kind   streamKind
+	ctx    context.Context // the cells' context: ends with the client or a drain
+	cancel context.CancelCauseFunc
+	reg    int
+	start  time.Time
+	jr     *sweepJournal
+	cells  *counterVec // the route's cells counter
+
+	hbStop, hbDone chan struct{}
+	reassigned     int // cluster: cells moved off failed shards (dispatch loop only)
+
+	mu       sync.Mutex // orders writes; guards the tally and jr
+	emit     func(any)
+	total    int
+	replayed int
+	done     int
+	errs     int
+	canceled int
+}
+
+// startSweep opens the stream of a total-cell sweep and writes its start
+// record; replayed of the cells come from the journal and are tallied
+// as successes here. The caller writes or merges every cell record,
+// calls tally for every cell it did not replay, then calls finish.
+func (s *Server) startSweep(w http.ResponseWriter, r *http.Request, kind streamKind, total, replayed int, jr *sweepJournal) *sweepStream {
 	// Register with the drain machinery: a SIGTERM mid-sweep cancels
-	// this context, the engine stops scheduling, unfinished cells emit
-	// cancellation records (which a coordinator reassigns), and the
-	// journal gets a final flush below — leaving a resumable checkpoint
+	// ctx, the engines stop scheduling, unfinished cells emit
+	// cancellation records (which a coordinator reassigns), and finish
+	// flushes the journal once more, leaving a resumable checkpoint
 	// instead of an abandoned matrix.
 	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	defer s.unregisterSweep(s.registerSweep(cancel))
-
-	emit := s.startStream(w, r)
-	emit(SweepStart{Type: "start", Total: total, Resumed: len(replays)})
-
-	done, errCount, canceled := len(replays), 0, 0
-	for _, rec := range replays {
-		emit(rec)
-		s.met.sweepCells.get(outcomeOK).Inc()
-		s.met.sweepReplayed.Inc()
+	st := &sweepStream{
+		s: s, kind: kind, ctx: ctx, cancel: cancel, reg: s.registerSweep(cancel),
+		start: time.Now(), jr: jr, cells: s.met.sweepCells,
+		hbStop: make(chan struct{}), hbDone: make(chan struct{}),
+		emit: s.startStream(w, r), total: total, replayed: replayed, done: replayed,
 	}
+	if kind == kindCluster {
+		st.cells = s.met.clusterCells
+	}
+	st.cells.get(outcomeOK).Add(uint64(replayed))
+	s.met.sweepReplayed.Add(uint64(replayed))
+	st.emit(SweepStart{Type: "start", Total: total, Resumed: replayed})
+	go st.heartbeat(s.cfg.SweepHeartbeat)
+	return st
+}
 
-	// The engine emits from one goroutine; the loop below interleaves
-	// its outcomes with heartbeat ticks and owns all writes to w (and all
-	// journal updates).
-	outcomes := make(chan sweep.Outcome[idxCell, cellValue])
-	streamErr := make(chan error, 1)
-	go func() {
-		streamErr <- s.newEngine(req).Stream(ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
-			outcomes <- o
-		})
-		close(outcomes)
-	}()
-	heartbeat := time.NewTicker(s.cfg.SweepHeartbeat)
-	defer heartbeat.Stop()
-
-	for outcomes != nil {
+// heartbeat writes a progress record every interval until finish stops it.
+func (st *sweepStream) heartbeat(every time.Duration) {
+	defer close(st.hbDone)
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
 		select {
-		case o, ok := <-outcomes:
-			if !ok {
-				outcomes = nil
-				continue
-			}
-			rec := cellRecord(o.Item)
-			rec.Cached = o.Result.cached
-			rec.Attempts = o.Attempts
-			rec.ElapsedMS = float64(o.Elapsed.Microseconds()) / 1000
-			rec.Result, rec.Error = cellOutcome(o.Err, o.Result.data)
-			if shard {
-				rec.Key = o.Result.key
-			}
-			switch {
-			case o.Err == nil:
-				done++
-				s.met.sweepCells.get(outcomeOK).Inc()
-				if jr != nil {
-					jr.record(o.Item.idx, o.Result.key)
-				}
-			case errors.Is(o.Err, context.Canceled):
-				canceled++
-				s.met.sweepCells.get(outcomeCanceled).Inc()
-			default:
-				errCount++
-				s.met.sweepCells.get(outcomeError).Inc()
-			}
-			emit(rec)
-		case <-heartbeat.C:
-			emit(SweepProgress{Type: "progress", Done: done, Errors: errCount, Total: total})
+		case <-st.hbStop:
+			return
+		case <-t.C:
+			st.mu.Lock()
+			st.emit(SweepProgress{Type: "progress", Done: st.done, Errors: st.errs, Total: st.total})
+			st.mu.Unlock()
 		}
 	}
-	err := <-streamErr
-	if jr != nil {
-		if done == total {
+}
+
+// write sends one record.
+func (st *sweepStream) write(v any) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.emit(v)
+}
+
+// tally counts one cell's terminal outcome: ok (journaled under key),
+// canceled (cut off by the client going away or by a drain, so the cell
+// is resumable and a coordinator reassigns it) or error.
+func (st *sweepStream) tally(idx int, key string, e *ErrorInfo) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case e == nil:
+		st.done++
+		st.cells.get(outcomeOK).Inc()
+		if st.jr != nil {
+			st.jr.record(idx, key)
+		}
+	case reassignable(e):
+		st.canceled++
+		st.cells.get(outcomeCanceled).Inc()
+	default:
+		st.errs++
+		st.cells.get(outcomeError).Inc()
+	}
+}
+
+// finish ends the stream once every cell is tallied: it stops the
+// heartbeat, closes the journal, writes the done record, counts the
+// sweep and logs it.
+func (st *sweepStream) finish() {
+	// Wait for the heartbeat to exit: a tick that wins its select after
+	// hbStop closes must not write past the done record, nor after the
+	// handler has returned and the ResponseWriter is gone.
+	close(st.hbStop)
+	<-st.hbDone
+	// No writer is left: the caller has tallied every cell.
+	complete := st.done == st.total
+	if jr := st.jr; jr != nil {
+		if complete {
 			// Every cell succeeded: the checkpoint has served its purpose.
 			// A sweep with errors keeps its journal, so a retry under the
 			// same ID replays the successes and re-attempts only the errors.
@@ -431,23 +481,54 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepR
 			// earlier best-effort persist failed mid-sweep.
 			jr.persist()
 		}
+		if jr.shipper != nil {
+			// Ship the final journal state to the successors (or, on full
+			// completion, tombstone their copies) before answering.
+			jr.shipper.Finish(complete)
+		}
 	}
-	emit(SweepDone{
-		Type:      "done",
-		Done:      done,
-		Errors:    errCount,
-		Canceled:  canceled,
-		Replayed:  len(replays),
-		Total:     total,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	})
-	s.met.sweepsTotal.get(outcomeLabel(err)).Inc()
-	what := "sweep"
-	if shard {
+	elapsed := time.Since(st.start)
+	what, sweeps, extra := "sweep", st.s.met.sweepsTotal, ""
+	var done any = SweepDone{
+		Type: "done", Done: st.done, Errors: st.errs, Canceled: st.canceled,
+		Replayed: st.replayed, Total: st.total, ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+	}
+	switch st.kind {
+	case kindShard:
 		what = "sweep shard"
+	case kindCluster:
+		what, sweeps, extra = "cluster sweep", st.s.met.clusterSweeps, fmt.Sprintf(" reassigned=%d", st.reassigned)
+		done = clusterDone{Type: "done", Done: st.done, Errors: st.errs, Canceled: st.canceled, Total: st.total}
 	}
-	s.cfg.Log.Printf("%s %d cells: done=%d errors=%d canceled=%d replayed=%d elapsed=%s",
-		what, total, done, errCount, canceled, len(replays), time.Since(start).Round(time.Millisecond))
+	st.emit(done)
+	sweeps.get(outcomeLabel(context.Cause(st.ctx))).Inc()
+	st.cancel(nil)
+	st.s.unregisterSweep(st.reg)
+	st.s.cfg.Log.Printf("%s %d cells: done=%d errors=%d canceled=%d replayed=%d%s elapsed=%s",
+		what, st.total, st.done, st.errs, st.canceled, st.replayed, extra, elapsed.Round(time.Millisecond))
+}
+
+// streamSweep runs work on the local engine and streams it after
+// replays, one record per cell in completion order. It answers
+// /v1/sweep and /v1/sweep/shard; shard records carry their store key.
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, work []idxCell, replays []SweepCellRecord, jr *sweepJournal, kind streamKind) {
+	st := s.startSweep(w, r, kind, len(replays)+len(work), len(replays), jr)
+	for _, rec := range replays {
+		st.write(rec)
+	}
+	s.newEngine(req).Stream(st.ctx, work, func(o sweep.Outcome[idxCell, cellValue]) {
+		rec := cellRecord(o.Item)
+		rec.Cached = o.Result.cached
+		rec.Attempts = o.Attempts
+		rec.ElapsedMS = float64(o.Elapsed.Microseconds()) / 1000
+		rec.Result, rec.Error = cellOutcome(o.Err, o.Result.data)
+		if kind == kindShard {
+			rec.Key = o.Result.key
+		}
+		st.tally(o.Item.idx, o.Result.key, rec.Error)
+		st.write(rec)
+	})
+	st.finish()
 }
 
 // journalError counts and logs a best-effort journal failure.

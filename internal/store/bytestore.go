@@ -248,6 +248,20 @@ func (s *ByteStore) Do(ctx context.Context, key string, compute func() ([]byte, 
 	return data, hit, err
 }
 
+// Lookup returns the stored bytes for key from the local tiers, then
+// from the peer tier, and never computes. A peer hit is counted and
+// promoted through both local tiers as in Do.
+func (s *ByteStore) Lookup(key string) ([]byte, bool) {
+	if v, ok := s.Get(key); ok || s.remote == nil {
+		return v, ok
+	}
+	v, ok := s.fetchRemote(key)
+	if ok {
+		s.Put(key, v)
+	}
+	return v, ok
+}
+
 // fetchRemote consults the peer tier, counting hits and failures.
 func (s *ByteStore) fetchRemote(key string) ([]byte, bool) {
 	v, ok, err := s.remote.Fetch(key)

@@ -117,6 +117,48 @@ func TestRemoteTierMissComputes(t *testing.T) {
 	}
 }
 
+// Lookup reads the local tiers, then the peer tier, and never computes:
+// a local hit asks no peer, a peer hit is counted and promoted, and a
+// miss or a failing peer is a plain miss.
+func TestLookupLocalThenPeer(t *testing.T) {
+	remote := &fakeRemote{data: map[string][]byte{remoteKey: []byte("peer bytes")}}
+	s, err := OpenByteStoreWith(Options{Dir: t.TempDir(), Remote: remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Lookup(remoteKey); !ok || string(v) != "peer bytes" {
+		t.Fatalf("peer Lookup = %q, %v", v, ok)
+	}
+	if v, ok := s.Lookup(remoteKey); !ok || string(v) != "peer bytes" {
+		t.Fatalf("promoted Lookup = %q, %v", v, ok)
+	}
+	if st := s.Stats(); st.PeerHits != 1 || st.MemHits != 1 || remote.calls != 1 {
+		t.Fatalf("stats = %+v after %d peer calls, want one peer hit then one memory hit", st, remote.calls)
+	}
+	if v, ok := s.Lookup("missing"); ok {
+		t.Fatalf("Lookup of a missing key = %q", v)
+	}
+	remote.err = errors.New("peer down")
+	if v, ok := s.Lookup("other"); ok {
+		t.Fatalf("Lookup through a failing peer = %q", v)
+	}
+	if st := s.Stats(); st.PeerErrors != 1 || st.MemEntries != 1 {
+		t.Fatalf("stats = %+v, want one peer error and nothing computed", st)
+	}
+
+	local, err := OpenByteStore("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.Put(remoteKey, []byte("local bytes"))
+	if v, ok := local.Lookup(remoteKey); !ok || string(v) != "local bytes" {
+		t.Fatalf("local Lookup = %q, %v", v, ok)
+	}
+	if _, ok := local.Lookup("missing"); ok {
+		t.Fatal("Lookup without a peer tier found a missing key")
+	}
+}
+
 // Quarantined entries older than the TTL are swept at open; fresh
 // evidence is kept.
 func TestQuarantineAgeSweep(t *testing.T) {

@@ -34,6 +34,14 @@ go test -race ./...
 echo "==> predictor probe suite"
 go test -race -v -run '^(TestProbes|TestProbeSuiteCoverage|TestBTBLegacyEquivalence|TestRASLegacyEquivalence)$' ./internal/predictor
 
+# Coordinator failover under the race detector, repeated: an adopted
+# cluster sweep must replay every cell the dead coordinator journaled,
+# including results still in the replication queue (read from the peer
+# tier) and the final journal push after a drain. One run in tens used
+# to lose a cell; see docs/CLUSTER.md, "Coordinator failover".
+echo "==> adoption replay (race, x20)"
+go test -race -count=20 -run 'TestClusterSweepAdoptedBySurvivor$' ./internal/service
+
 # Both daemon drivers below run one sdtd built here and passed with -bin
 # (make smoke / make chaos exercise their own go-build fallback).
 sdtd_dir=$(mktemp -d)
