@@ -6,7 +6,11 @@
 // lives here).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync/atomic"
+)
 
 // Config describes a cache geometry.
 type Config struct {
@@ -48,30 +52,34 @@ type Cache struct {
 	setMask   uint32
 	tagShift  uint
 	ways      int
+	wayBits   uint   // bits to hold a way index; 0 when direct-mapped
 	lines     []line // sets laid out contiguously, ways per set
 	tick      uint64
 	hits      uint64
 	misses    uint64
 
-	// Recent-line memo: the last few distinct lines touched. References
-	// to a memoized line (straight-line code, stack traffic, a hot loop
-	// alternating between a superblock body and its side-exit fragments)
-	// skip the set scan. A memoized line cannot have been evicted between
-	// accesses — eviction only happens inside accessSlow, which clears any
-	// memo entry aimed at the victim — so taking the fast path updates the
-	// same LRU word a full scan hit would, leaving identical state.
-	memo     [memoWays]memoEntry
-	memoNext int
+	// gen changes whenever a valid line is evicted and on Reset, so while
+	// it holds still every resident line stays in its slot (installing
+	// into an invalid slot moves nothing). Values are unique across all
+	// caches (see genRanges), so a Span stamped by one cache never
+	// validates against another.
+	gen uint64
 }
 
-// memoWays sizes the recent-line memo: enough to cover the few lines a hot
-// dispatch loop cycles through without making the scan-before-lookup
-// noticeable on misses.
-const memoWays = 4
+// genRangeBits sizes the private generation range each cache draws from
+// genRanges: a cache counts 2^genRangeBits - 1 generations before it draws
+// a fresh range, and 2^(64-genRangeBits) ranges outlast any process.
+const genRangeBits = 24
 
-type memoEntry struct {
-	lineAddr uint32
-	ent      *line
+// genRanges hands out generation ranges. Range 0 is never drawn, so a
+// cache's generation is never 0 and a zero Span is never valid.
+var genRanges atomic.Uint64
+
+func (c *Cache) nextGen() {
+	c.gen++
+	if c.gen&(1<<genRangeBits-1) == 0 {
+		c.gen = genRanges.Add(1) << genRangeBits
+	}
 }
 
 // New builds a cache for the given geometry. It panics if the geometry is
@@ -80,15 +88,17 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
-	}
 	nsets := cfg.Sets()
-	c := &Cache{cfg: cfg, lineShift: shift, setMask: uint32(nsets - 1)}
-	c.tagShift = uint(popcount(c.setMask))
-	c.ways = cfg.Ways
-	c.lines = make([]line, nsets*cfg.Ways)
+	c := &Cache{
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint32(nsets - 1),
+		ways:      cfg.Ways,
+		wayBits:   uint(bits.Len(uint(cfg.Ways - 1))),
+		lines:     make([]line, nsets*cfg.Ways),
+		gen:       genRanges.Add(1) << genRangeBits,
+	}
+	c.tagShift = uint(bits.OnesCount32(c.setMask))
 	return c
 }
 
@@ -98,53 +108,93 @@ func (c *Cache) Config() Config { return c.cfg }
 // Access simulates a reference to addr and reports whether it hit. Misses
 // install the line (allocate-on-miss, for both reads and writes).
 func (c *Cache) Access(addr uint32) bool {
-	lineAddr := addr >> c.lineShift
-	for i := range c.memo {
-		m := &c.memo[i]
-		if m.ent != nil && m.lineAddr == lineAddr {
-			c.tick++
-			m.ent.lru = c.tick
-			c.hits++
-			return true
-		}
-	}
-	return c.accessSlow(lineAddr)
+	hit, _ := c.access(addr >> c.lineShift)
+	return hit
 }
 
-// memoize records lineAddr → ent in the next memo slot, round-robin.
-func (c *Cache) memoize(lineAddr uint32, ent *line) {
-	c.memo[c.memoNext] = memoEntry{lineAddr: lineAddr, ent: ent}
-	c.memoNext = (c.memoNext + 1) % memoWays
-}
-
-func (c *Cache) accessSlow(lineAddr uint32) bool {
+// access references one line and returns whether it hit and the way it
+// now occupies in its set.
+func (c *Cache) access(lineAddr uint32) (bool, int) {
 	c.tick++
 	base := int(lineAddr&c.setMask) * c.ways
 	set := c.lines[base : base+c.ways]
 	tag := lineAddr >> c.tagShift
-	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].valid {
 			set[i].lru = c.tick
 			c.hits++
-			c.memoize(lineAddr, &set[i])
-			return true
+			return true, i
 		}
+	}
+	victim := 0
+	for i := range set {
 		if set[i].lru < set[victim].lru || !set[i].valid && set[victim].valid {
 			victim = i
 		}
 	}
-	// The victim's old line is gone; any memo entry still aiming at its
-	// slot would resurrect it as a phantom hit.
-	for i := range c.memo {
-		if c.memo[i].ent == &set[victim] {
-			c.memo[i] = memoEntry{}
-		}
+	if set[victim].valid {
+		c.nextGen()
 	}
 	set[victim] = line{tag: tag, valid: true, lru: c.tick}
 	c.misses++
-	c.memoize(lineAddr, &set[victim])
-	return false
+	return false, victim
+}
+
+// Span is a line-aligned address range [From, End) that is always fetched
+// whole and in order — the code of one straight-line body — together with
+// what Walk learnt the last time it left every line of it resident: the
+// way each line occupies (consecutive lines fall in consecutive sets) and
+// the generation of the cache at that time. The ways of at most 64/ceil(log2(Ways))
+// lines fit the stamp (any number when direct-mapped); a longer span is
+// never stamped. Build a Span with From and End only; the zero stamp is
+// never valid.
+type Span struct {
+	From, End uint32
+	gen       uint64
+	ways      uint64 // way of line i in bits [i*wayBits, (i+1)*wayBits)
+}
+
+// Walk accesses every line of s in order, exactly as one Access per line
+// would, and returns the number of misses.
+//
+// If the cache's generation still equals s's stamp, no valid line has been
+// evicted since every line of s was resident in the recorded slots, so
+// each line is still there: the walk does what n hitting Accesses do —
+// one tick and one LRU update per line, n hits — without comparing tags.
+// Otherwise each line takes the Access path, and s is stamped when no
+// valid line was evicted during the walk (an eviction may have displaced
+// a line of s itself) and its ways fit the stamp.
+func (c *Cache) Walk(s *Span) int {
+	first, n := s.From>>c.lineShift, uint32(0)
+	if s.End > s.From {
+		n = (s.End - s.From) >> c.lineShift
+	}
+	if s.gen == c.gen {
+		lines, nways, setMask := c.lines, c.ways, c.setMask
+		ways, wayBits, wayMask := s.ways, c.wayBits, uint64(1)<<c.wayBits-1
+		tick := c.tick
+		for l := first; l != first+n; l++ {
+			tick++
+			lines[int(l&setMask)*nways+int(ways&wayMask)].lru = tick
+			ways >>= wayBits
+		}
+		c.tick = tick
+		c.hits += uint64(n)
+		return 0
+	}
+	gen, misses := c.gen, 0
+	var ways uint64
+	for i := uint32(0); i < n; i++ {
+		hit, way := c.access(first + i)
+		if !hit {
+			misses++
+		}
+		ways |= uint64(way) << (uint(i) * c.wayBits)
+	}
+	if c.gen == gen && uint(n)*c.wayBits <= 64 {
+		s.gen, s.ways = gen, ways
+	}
+	return misses
 }
 
 // Stats returns cumulative hit and miss counts.
@@ -165,14 +215,5 @@ func (c *Cache) Reset() {
 		c.lines[i] = line{}
 	}
 	c.tick, c.hits, c.misses = 0, 0, 0
-	c.memo = [memoWays]memoEntry{}
-	c.memoNext = 0
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	c.nextGen()
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdt/internal/cache"
 	"sdt/internal/hostarch"
 	"sdt/internal/isa"
 )
@@ -156,10 +157,9 @@ type Fragment struct {
 	// in one batch per execution.
 	staticCycles uint64
 
-	// [fetchFrom, fetchEnd) is the body's emitted code as line-aligned
-	// I-fetch addresses (see machine.RunBody).
-	fetchFrom uint32
-	fetchEnd  uint32
+	// fetch is the body's emitted code as line-aligned I-fetch addresses
+	// (see machine.RunBody).
+	fetch cache.Span
 }
 
 // fragLink is a patchable direct-exit slot: the target fragment plus the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sdt/internal/cache"
 	"sdt/internal/isa"
 	"sdt/internal/machine"
 )
@@ -57,14 +58,13 @@ type superPart struct {
 	insts  []isa.Inst // concatenated body; zero-copy for single fragments
 	headPC uint32     // guest pc of the part's first instruction
 
-	// [fetchFrom, fetchEnd) is the part's emitted code as line-aligned
-	// fetch addresses, precomputed so execution walks exactly the I-cache
-	// lines this part introduces. Fetch inside a superblock is strictly
-	// sequential, so a line already touched by the previous part (a
-	// boundary shared mid-line) would re-hit as the cache's most recently
-	// used entry — LRU-neutral — and is excluded from the span.
-	fetchFrom  uint32
-	fetchEnd   uint32
+	// fetch is the part's emitted code as line-aligned fetch addresses,
+	// precomputed so execution walks exactly the I-cache lines this part
+	// introduces. Fetch inside a superblock is strictly sequential, so a
+	// line already touched by the previous part (a boundary shared
+	// mid-line) would re-hit as the cache's most recently used entry —
+	// LRU-neutral — and is excluded from the span.
+	fetch      cache.Span
 	tailStatic uint64 // static cost of all later parts (side-exit refund)
 	fused      uint64 // super-ops retired per execution of this body
 	nextPC     uint32 // recorded continuation (head for the last part)
@@ -240,8 +240,7 @@ func (vm *VM) materializeTrace(rec *traceRec) {
 			first += line
 		}
 		lastLine := (addr + emit[i] - 1) &^ (line - 1)
-		parts[i].fetchFrom = first
-		parts[i].fetchEnd = lastLine + line
+		parts[i].fetch = cache.Span{From: first, End: lastLine + line}
 		prevLast = lastLine
 		addr += emit[i]
 	}
@@ -283,7 +282,7 @@ run:
 		e0 := vm.epoch
 		for idx := range tr.parts {
 			p := &tr.parts[idx]
-			out, err := machine.RunBody(st, env, p.insts, p.headPC, p.fetchFrom, p.fetchEnd, vm.limit)
+			out, err := machine.RunBody(st, env, p.insts, p.headPC, &p.fetch, vm.limit)
 			if err != nil {
 				return nil, vm.bodyErr(err, p.headPC)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"sdt/internal/cache"
 	"sdt/internal/isa"
 	"sdt/internal/machine"
 	"sdt/internal/profile"
@@ -277,8 +278,10 @@ func (vm *VM) translate(guest uint32) (*Fragment, error) {
 		Synth:        !term.Op.IsControl(),
 		epoch:        vm.epoch,
 		staticCycles: machine.StaticBodyCost(m, insts),
-		fetchFrom:    host &^ (line - 1),
-		fetchEnd:     (host+bodyBytes-cb)&^(line-1) + line,
+		fetch: cache.Span{
+			From: host &^ (line - 1),
+			End:  (host+bodyBytes-cb)&^(line-1) + line,
+		},
 	}
 	if term.Op.IsIndirect() {
 		s := vm.newSite()
@@ -454,7 +457,7 @@ func (vm *VM) bodyErr(err error, head uint32) error {
 // next fragment (nil after HALT).
 func (vm *VM) execFragment(f *Fragment) (*Fragment, error) {
 	vm.Env.Cycles += f.staticCycles
-	out, err := machine.RunBody(vm.State, vm.Env, f.Insts, f.GuestPC, f.fetchFrom, f.fetchEnd, vm.limit)
+	out, err := machine.RunBody(vm.State, vm.Env, f.Insts, f.GuestPC, &f.fetch, vm.limit)
 	if err != nil {
 		return nil, vm.bodyErr(err, f.GuestPC)
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"sync"
 
+	"sdt/internal/cache"
 	"sdt/internal/isa"
 	"sdt/internal/program"
 )
@@ -26,11 +27,8 @@ type block struct {
 	n      uint32 // instructions, terminator included; 0 = not yet decoded
 	loads  uint32
 	stores uint32
-	// [fetchFrom, fetchEnd) is the block's code as line-aligned I-fetch
-	// addresses (see RunBody).
-	fetchFrom uint32
-	fetchEnd  uint32
-	static    uint64 // StaticBodyCost of the whole block
+	static uint64     // StaticBodyCost of the whole block
+	fetch  cache.Span // the block's code as line-aligned I-fetch addresses
 }
 
 // blockTabPool recycles block tables between machines (see Recycle); a
@@ -86,8 +84,10 @@ func (m *Machine) decodeBlock(idx uint32) *block {
 	}
 	line := uint32(m.Env.Model.ICache.LineBytes)
 	pc := program.CodeBase + idx*isa.WordSize
-	b.fetchFrom = pc &^ (line - 1)
-	b.fetchEnd = (pc+(b.n-1)*isa.WordSize)&^(line-1) + line
+	b.fetch = cache.Span{
+		From: pc &^ (line - 1),
+		End:  (pc+(b.n-1)*isa.WordSize)&^(line-1) + line,
+	}
 	return b
 }
 
@@ -95,11 +95,12 @@ func (m *Machine) decodeBlock(idx uint32) *block {
 // fragment or one part of a superblock — starting at guest pc, and returns
 // the terminator's outcome; resolving and charging the control transfer is
 // the caller's job, as is the body's data-independent cost (its batch
-// charge). [fetchFrom, fetchEnd) is the body's code as line-aligned fetch
-// addresses: fetch within a body is strictly sequential, so re-accessing
-// the current line is an LRU-neutral hit, and one access per line yields
-// the same distinct-line sequence — every miss, every replacement decision
-// — as per-instruction fetching.
+// charge). fetch is the body's code as line-aligned fetch addresses, held
+// by the caller's fragment, superblock part or block slot so the I-cache
+// can take its span fast path (cache.Cache.Walk): fetch within a body is
+// strictly sequential, so re-accessing the current line is an LRU-neutral
+// hit, and one access per line yields the same distinct-line sequence —
+// every miss, every replacement decision — as per-instruction fetching.
 //
 // The work here is the I-fetch walk, the batched ExecStraight up to the
 // terminator (which charges the D-cache touch of each load and store), and
@@ -114,11 +115,8 @@ func (m *Machine) decodeBlock(idx uint32) *block {
 //
 // The body must hold no control transfer before its last instruction other
 // than the elided on-trace jumps ExecStraight permits.
-func RunBody(s *State, env *CostEnv, insts []isa.Inst, pc, fetchFrom, fetchEnd uint32, limit uint64) (Outcome, error) {
-	line := uint32(env.Model.ICache.LineBytes)
-	for a := fetchFrom; a < fetchEnd; a += line {
-		env.IFetch(a)
-	}
+func RunBody(s *State, env *CostEnv, insts []isa.Inst, pc uint32, fetch *cache.Span, limit uint64) (Outcome, error) {
+	env.FetchSpan(fetch)
 	last := len(insts) - 1
 	n, stop := last, s.Instret+uint64(len(insts)) > limit
 	if stop {

@@ -45,6 +45,12 @@ func (e *CostEnv) IFetch(addr uint32) {
 	}
 }
 
+// FetchSpan models fetching the code lines of span in order: IFetch on
+// each line, with the I-cache's span fast path for spans that still hit.
+func (e *CostEnv) FetchSpan(span *cache.Span) {
+	e.Cycles += uint64(e.ICache.Walk(span)) * uint64(e.Model.IMissPenalty)
+}
+
 // DTouch models a data reference to addr through the D-cache.
 func (e *CostEnv) DTouch(addr uint32) {
 	if !e.DCache.Access(addr) {

@@ -235,10 +235,10 @@ func b2u(b bool) uint32 {
 // that can fault (memory accesses and illegal opcodes) — ALU work cannot
 // observe it mid-run.
 //
-// If env is non-nil, loads and stores charge their D-cache reference
-// through env.DTouch before the access, exactly as ChargeBody orders it;
-// their static pipeline cost is assumed pre-charged (StaticBodyCost or a
-// fused superblock batch).
+// Loads and stores charge their D-cache reference through env.DTouch
+// before the access, exactly as ChargeBody orders it; their static
+// pipeline cost is assumed pre-charged (StaticBodyCost or a fused
+// superblock batch).
 //
 // One control transfer is permitted: a direct jump (JMP), whose target is
 // static — the caller guarantees the instruction following it in insts is
@@ -331,9 +331,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.LW:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			v, err := s.LoadWord(addr)
 			if err != nil {
 				s.Instret += uint64(i)
@@ -343,9 +341,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.LH:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			v, err := s.LoadHalf(addr)
 			if err != nil {
 				s.Instret += uint64(i)
@@ -355,9 +351,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.LHU:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			v, err := s.LoadHalf(addr)
 			if err != nil {
 				s.Instret += uint64(i)
@@ -367,9 +361,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.LB:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			v, err := s.LoadByte(addr)
 			if err != nil {
 				s.Instret += uint64(i)
@@ -379,9 +371,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.LBU:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			v, err := s.LoadByte(addr)
 			if err != nil {
 				s.Instret += uint64(i)
@@ -391,9 +381,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.SW:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			if err := s.StoreWord(addr, r[in.Rd]); err != nil {
 				s.Instret += uint64(i)
 				return pc, err
@@ -401,9 +389,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.SH:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			if err := s.StoreHalf(addr, uint16(r[in.Rd])); err != nil {
 				s.Instret += uint64(i)
 				return pc, err
@@ -411,9 +397,7 @@ func ExecStraight(s *State, env *CostEnv, insts []isa.Inst, pc uint32) (uint32, 
 		case isa.SB:
 			addr := r[in.Rs1] + uint32(in.Imm)
 			s.PC = pc
-			if env != nil {
-				env.DTouch(addr)
-			}
+			env.DTouch(addr)
 			if err := s.StoreByte(addr, byte(r[in.Rd])); err != nil {
 				s.Instret += uint64(i)
 				return pc, err

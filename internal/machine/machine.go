@@ -221,7 +221,7 @@ func (m *Machine) RunContext(ctx context.Context, limit uint64) error {
 		insts := m.code[idx : idx+b.n]
 		env.Cycles += b.static
 		i0 := st.Instret
-		out, err := RunBody(st, env, insts, pc, b.fetchFrom, b.fetchEnd, limit)
+		out, err := RunBody(st, env, insts, pc, &b.fetch, limit)
 		if err != nil {
 			for _, in := range insts[:st.Instret-i0] {
 				m.countBody(in)

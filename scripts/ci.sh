@@ -34,6 +34,15 @@ go test -race ./...
 echo "==> predictor probe suite"
 go test -race -v -run '^(TestProbes|TestProbeSuiteCoverage|TestBTBLegacyEquivalence|TestRASLegacyEquivalence)$' ./internal/predictor
 
+# Cache span fast path: random interleavings of span walks, single
+# accesses, evicting misses and resets must leave every line, the tick and
+# the hit/miss counts exactly as per-line Access does, and a span stamped
+# by one cache must never take the fast path on another. Covered by the
+# -race run above; re-run -v so a failure is named in the CI log. See
+# docs/PERF.md, "Span I-fetch fast path".
+echo "==> cache span equivalence"
+go test -race -v -run '^(TestSpanWalkEquivalence|TestSpanStampBoundToCache)$' ./internal/cache
+
 # Coordinator failover under the race detector, repeated: an adopted
 # cluster sweep must replay every cell the dead coordinator journaled,
 # including results still in the replication queue (read from the peer
