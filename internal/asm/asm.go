@@ -226,7 +226,7 @@ func (a *assembler) directive(n int, s string) {
 			a.errorf(n, ".name wants a quoted string: %v", err)
 			return
 		}
-		a.img.Name = v
+		a.img.Name = strings.Clone(v) // Unquote may return a substring of the source
 	case ".entry":
 		if !isIdent(rest) {
 			a.errorf(n, ".entry wants a label name, got %q", rest)

@@ -3,6 +3,7 @@ package asm
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sdt/internal/isa"
 	"sdt/internal/program"
@@ -23,6 +24,29 @@ func decodeAll(img *program.Image) []isa.Inst {
 		out[i] = isa.Decode(w)
 	}
 	return out
+}
+
+// An image can outlive its source (sdtd memoizes images by source
+// digest), so none of its strings may point into the source text.
+func TestImageDoesNotPinSource(t *testing.T) {
+	src := strings.Repeat("; padding\n", 64) + ".name \"pinned\"\nmain:\n\tjmp done\n.data\ntbl:\n.word 1\n.text\ndone:\n\thalt\n"
+	img := mustAssemble(t, src)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	inSource := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && p >= lo && p < lo+uintptr(len(src))
+	}
+	if img.Name != "pinned" || inSource(img.Name) {
+		t.Errorf("image name %q points into the source", img.Name)
+	}
+	if len(img.Symbols) != 3 {
+		t.Fatalf("symbols %v, want main, tbl and done", img.Symbols)
+	}
+	for name := range img.Symbols {
+		if inSource(name) {
+			t.Errorf("symbol %q points into the source", name)
+		}
+	}
 }
 
 func TestBasicProgram(t *testing.T) {

@@ -386,6 +386,10 @@ func (a *assembler) finish() {
 	}
 	a.img.Data = a.data
 	for name, l := range a.labels {
+		// Label names are substrings of the source; copy them so the
+		// image, which can outlive the source (sdtd memoizes images),
+		// does not keep the whole text alive.
+		name = strings.Clone(name)
 		if l.sec == secText {
 			a.img.Symbols[name] = program.CodeBase + l.off*isa.WordSize
 		} else {

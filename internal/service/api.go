@@ -89,7 +89,9 @@ func (req *RunRequest) compile() (*program.Image, error) {
 // hash(image bytes | arch | mech | seed | limit | cost-model version).
 // Hashing the compiled image (not the source text) means formatting-only
 // source changes still hit the cache, while anything that could change the
-// measurement — including recalibrated cost models — misses.
+// measurement — including recalibrated cost models — misses. It is the
+// definition of the key: the server derives the same bytes in
+// Server.compiled by resuming the image's memoized hash state.
 func (req *RunRequest) key(img *program.Image) string {
 	h := sha256.New()
 	img.WriteTo(h)

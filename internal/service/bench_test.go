@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"sdt/internal/workload"
 )
 
 // coldSeq makes every cold-bench request unique across iterations, runs
@@ -83,18 +85,31 @@ func BenchmarkServiceCold(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceCached submits one program repeatedly, so after the
+// first request every request is a store hit. quick is a 15-line source;
+// gcc is a SPEC-shaped one (about 4 KB) whose assembly would dominate a
+// hit if the server compiled every submission.
 func BenchmarkServiceCached(b *testing.B) {
-	for _, workers := range poolSizes() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ts := benchServer(b, workers)
-			req := RunRequest{Name: "bench.s", Source: quickSrc, Mech: "ibtc:4096"}
-			benchSubmit(b, ts, req) // warm the store
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					benchSubmit(b, ts, req)
-				}
+	gcc, err := workload.Get("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, prog := range []struct{ name, source string }{
+		{"quick", quickSrc},
+		{"gcc", gcc.Generate(gcc.ScaledDown(50))},
+	} {
+		for _, workers := range poolSizes() {
+			b.Run(fmt.Sprintf("src=%s/workers=%d", prog.name, workers), func(b *testing.B) {
+				ts := benchServer(b, workers)
+				req := RunRequest{Name: prog.name, Source: prog.source, Mech: "ibtc:4096"}
+				benchSubmit(b, ts, req) // warm the store
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						benchSubmit(b, ts, req)
+					}
+				})
 			})
-		})
+		}
 	}
 }

@@ -172,7 +172,8 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Plan every cell: validate and derive its store key. Planning
-	// compiles each workload|scale image once (memoized in s.images).
+	// compiles a workload|scale image only when the bounded image memo
+	// (s.images) does not hold it.
 	// Invalid cells become canonical error records without dispatch;
 	// journaled cells whose bytes the store still holds are replayed.
 	var early []clusterCell // invalid and replayed cells, in matrix order

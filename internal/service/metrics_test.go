@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -129,5 +131,38 @@ func TestCounterVecLabelEscaping(t *testing.T) {
 	}
 	if v.total() != 4 {
 		t.Errorf("family total = %d, want 4", v.total())
+	}
+}
+
+// The image memo's series count what the memo did: a repeat submission
+// is a hit, a formatting-only edit a second entry, and the bytes gauge is
+// the entries' total weight, within the memo's bound.
+func TestImageMemoMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, src := range []string{quickSrc, quickSrc, quickSrc + "\n; formatting only\n"} {
+		if status, data := submit(t, ts, RunRequest{Source: src}); status != http.StatusOK {
+			t.Fatalf("status %d, body %s", status, data)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	samples := parseExposition(t, string(data))
+	_, _, _, size := s.imageMemoStats()
+	for name, want := range map[string]float64{
+		"sdtd_image_memo_hits_total":   1,
+		"sdtd_image_memo_misses_total": 2,
+		"sdtd_image_memo_entries":      2,
+		"sdtd_image_memo_bytes":        float64(size),
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	if size <= 0 || size > imageMemoBytes {
+		t.Errorf("memo weighs %d bytes, want within (0, %d]", size, imageMemoBytes)
 	}
 }

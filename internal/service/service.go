@@ -136,7 +136,7 @@ const runLimit = 2_000_000_000
 type Server struct {
 	cfg      Config
 	store    *store.ByteStore
-	images   *store.Group[*cellImage] // sweep cells' assembled workloads, keyed name|scale
+	images   *store.Group[*compiledImage] // compiled-image memo of /v1/run programs and sweep cells
 	pool     *pool
 	met      *metrics
 	mux      *http.ServeMux
@@ -172,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		store:  st,
-		images: store.NewGroup[*cellImage](nil),
+		images: newImageMemo(),
 		pool:   newPool(cfg.Workers, cfg.QueueDepth),
 		met:    newMetrics(),
 		mux:    http.NewServeMux(),
@@ -281,13 +281,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, bad.Code, bad.Message)
 		return
 	}
-	img, err := req.compile()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, CodeInvalidProgram, err.Error())
+	// Only this request's own build sets compileErr: a waiter on another
+	// request's build that fails builds again itself.
+	var compileErr error
+	key, img, err := s.compiled(r.Context(), runImageKey(&req), &req, func() (*program.Image, error) {
+		img, err := req.compile()
+		compileErr = err
+		return img, err
+	})
+	if compileErr != nil {
+		s.writeError(w, r, http.StatusBadRequest, CodeInvalidProgram, compileErr.Error())
 		return
 	}
-	key := req.key(img)
-	data, hit, err := s.runStored(r.Context(), key, img, &req)
+	var data []byte
+	var hit bool
+	if err == nil {
+		data, hit, err = s.runStored(r.Context(), key, img, &req)
+	}
 	if err != nil {
 		status, code := mapError(err)
 		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -397,6 +407,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE sdtd_cache_peer_errors_total counter\nsdtd_cache_peer_errors_total %d\n", st.PeerErrors)
 		fmt.Fprintf(w, "# TYPE sdtd_cache_mem_entries gauge\nsdtd_cache_mem_entries %d\n", st.MemEntries)
 		fmt.Fprintf(w, "# TYPE sdtd_cache_evictions_total counter\nsdtd_cache_evictions_total %d\n", st.Evictions)
+		hits, misses, entries, bytes := s.imageMemoStats()
+		fmt.Fprintf(w, "# TYPE sdtd_image_memo_hits_total counter\nsdtd_image_memo_hits_total %d\n", hits)
+		fmt.Fprintf(w, "# TYPE sdtd_image_memo_misses_total counter\nsdtd_image_memo_misses_total %d\n", misses)
+		fmt.Fprintf(w, "# TYPE sdtd_image_memo_entries gauge\nsdtd_image_memo_entries %d\n", entries)
+		fmt.Fprintf(w, "# TYPE sdtd_image_memo_bytes gauge\nsdtd_image_memo_bytes %d\n", bytes)
 		fmt.Fprintf(w, "# TYPE sdtd_queue_depth gauge\nsdtd_queue_depth %d\n", s.pool.depth())
 		fmt.Fprintf(w, "# TYPE sdtd_inflight_runs gauge\nsdtd_inflight_runs %d\n", s.inflight.Load())
 		draining := 0

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -553,16 +551,6 @@ func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepReques
 	if _, err := ib.Parse(c.Mech); err != nil {
 		return "", nil, nil, fmt.Errorf("%w: %v", errCellInvalid, err)
 	}
-	ci, _, err := s.images.Do(ctx, fmt.Sprintf("%s|%d", c.Workload, c.Scale), func() (*cellImage, error) {
-		return newCellImage(spec, c.Scale)
-	})
-	if err != nil {
-		return "", nil, nil, err
-	}
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.state); err != nil {
-		return "", nil, nil, err
-	}
 	rr := &RunRequest{
 		Name:      c.Workload,
 		Lang:      LangWorkload,
@@ -574,30 +562,13 @@ func (s *Server) prepareCell(ctx context.Context, c sweep.Cell, req *SweepReques
 	}
 	// Scale participates in the key through the image bytes themselves:
 	// a different scale assembles to a different image.
-	return rr.keyAfter(h), rr, ci.img, nil
-}
-
-// cellImage is a sweep cell's compiled workload, memoized per
-// workload|scale, with the sha256 state after hashing its bytes. Every
-// cell key starts with those bytes, so resuming the state gives the key
-// RunRequest.key would without serialising and hashing the image again.
-type cellImage struct {
-	img   *program.Image
-	state []byte // sha256 MarshalBinary state after the image bytes
-}
-
-func newCellImage(spec *workload.Spec, scale int) (*cellImage, error) {
-	img, err := spec.Image(scale)
+	key, img, err := s.compiled(ctx, cellImageKey(c.Workload, c.Scale), rr, func() (*program.Image, error) {
+		return spec.Image(c.Scale)
+	})
 	if err != nil {
-		return nil, err
+		return "", nil, nil, err
 	}
-	h := sha256.New()
-	img.WriteTo(h)
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return &cellImage{img: img, state: state}, nil
+	return key, rr, img, nil
 }
 
 // runCell executes one cell through the same content-addressed store tier

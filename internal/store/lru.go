@@ -2,11 +2,15 @@ package store
 
 import "container/list"
 
-// LRU is a bounded Backend evicting the least-recently-used entry once it
-// exceeds its capacity (in entries). Like Map it is unsynchronized; use it
-// under a Group or an external lock.
+// LRU is a bounded Backend evicting the least-recently-used entries once
+// it exceeds its capacity in entries or, when built weighted, its total
+// weight. Like Map it is unsynchronized; use it under a Group or an
+// external lock.
 type LRU[V any] struct {
 	capacity  int
+	maxWeight int64
+	weigh     func(V) int64
+	weight    int64      // sum of the live entries' weights
 	ll        *list.List // front = most recently used
 	index     map[string]*list.Element
 	evictions uint64
@@ -15,12 +19,21 @@ type LRU[V any] struct {
 type lruEntry[V any] struct {
 	key string
 	v   V
+	w   int64
 }
 
 // NewLRU returns an LRU holding at most capacity entries; capacity <= 0
 // means unbounded.
 func NewLRU[V any](capacity int) *LRU[V] {
-	return &LRU[V]{capacity: capacity, ll: list.New(), index: make(map[string]*list.Element)}
+	return NewWeightedLRU[V](capacity, 0, nil)
+}
+
+// NewWeightedLRU returns an LRU holding at most capacity entries whose
+// weights, as weigh reports them when each is stored, sum to at most
+// maxWeight. A bound <= 0 is unbounded. A value heavier than maxWeight on
+// its own is not stored at all, so it evicts nothing.
+func NewWeightedLRU[V any](capacity int, maxWeight int64, weigh func(V) int64) *LRU[V] {
+	return &LRU[V]{capacity: capacity, maxWeight: maxWeight, weigh: weigh, ll: list.New(), index: make(map[string]*list.Element)}
 }
 
 // Get implements Backend, refreshing the entry's recency on hit.
@@ -33,20 +46,33 @@ func (l *LRU[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Put implements Backend, evicting the oldest entry when over capacity.
+// Put implements Backend, evicting the oldest entries while over either
+// bound.
 func (l *LRU[V]) Put(key string, v V) {
+	var w int64
+	if l.weigh != nil {
+		w = l.weigh(v)
+	}
 	if el, ok := l.index[key]; ok {
-		el.Value.(*lruEntry[V]).v = v
-		l.ll.MoveToFront(el)
+		l.remove(el)
+	}
+	if l.maxWeight > 0 && w > l.maxWeight {
 		return
 	}
-	l.index[key] = l.ll.PushFront(&lruEntry[V]{key: key, v: v})
-	if l.capacity > 0 && l.ll.Len() > l.capacity {
-		oldest := l.ll.Back()
-		l.ll.Remove(oldest)
-		delete(l.index, oldest.Value.(*lruEntry[V]).key)
+	l.index[key] = l.ll.PushFront(&lruEntry[V]{key: key, v: v, w: w})
+	l.weight += w
+	// The new entry is at the front and fits both bounds alone, so the
+	// loop stops before reaching it.
+	for (l.capacity > 0 && l.ll.Len() > l.capacity) || (l.maxWeight > 0 && l.weight > l.maxWeight) {
+		l.remove(l.ll.Back())
 		l.evictions++
 	}
+}
+
+func (l *LRU[V]) remove(el *list.Element) {
+	e := l.ll.Remove(el).(*lruEntry[V])
+	delete(l.index, e.key)
+	l.weight -= e.w
 }
 
 // Len returns the number of live entries.

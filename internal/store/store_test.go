@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,49 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if l.Len() != 2 || l.Evictions() != 1 {
 		t.Fatalf("Len=%d Evictions=%d, want 2, 1", l.Len(), l.Evictions())
+	}
+}
+
+// A weighted LRU evicts the oldest entries until the weights fit, keeps
+// the total within its bound after every Put, re-weighs a replaced value,
+// and never stores a value heavier than the whole bound (which therefore
+// evicts nothing).
+func TestWeightedLRU(t *testing.T) {
+	l := NewWeightedLRU[string](4, 10, func(v string) int64 { return int64(len(v)) })
+	total := func() (n int, w int64) {
+		l.Range(func(_ string, v string) bool { n++; w += int64(len(v)); return true })
+		return n, w
+	}
+	keys := func() string {
+		var ks []string
+		l.Range(func(k string, _ string) bool { ks = append(ks, k); return true })
+		return strings.Join(ks, ",")
+	}
+	steps := []struct {
+		key, v string
+		want   string // keys, most recent first
+	}{
+		{"a", "xxx", "a"},
+		{"b", "xxx", "b,a"},
+		{"c", "xxx", "c,b,a"},
+		{"d", "xx", "d,c,b"},      // 11 > 10: a goes
+		{"e", "x", "e,d,c,b"},     // 9
+		{"f", "x", "f,e,d,c"},     // entry bound: b goes
+		{"c", "xxxxxxx", "c,f,e"}, // re-weighed 3 -> 7: 11, so d goes
+		{"g", "xxxxxxxxxxx", "c,f,e"},
+		{"f", "xxxxxxxxxxxx", "c,e"}, // an over-weight replacement drops the old value
+	}
+	for i, st := range steps {
+		l.Put(st.key, st.v)
+		if got := keys(); got != st.want {
+			t.Fatalf("step %d Put(%s, %d bytes): keys %s, want %s", i, st.key, len(st.v), got, st.want)
+		}
+		if n, w := total(); n > 4 || w > 10 {
+			t.Fatalf("step %d: %d entries weighing %d, bounds 4 and 10", i, n, w)
+		}
+	}
+	if l.Evictions() != 3 {
+		t.Errorf("Evictions = %d, want 3", l.Evictions())
 	}
 }
 

@@ -43,6 +43,14 @@ go test -race -v -run '^(TestProbes|TestProbeSuiteCoverage|TestBTBLegacyEquivale
 echo "==> cache span equivalence"
 go test -race -v -run '^(TestSpanWalkEquivalence|TestSpanStampBoundToCache)$' ./internal/cache
 
+# Compiled-image memo: every memoized /v1/run and sweep-cell store key
+# must equal RunRequest.key of a fresh compile, concurrent first
+# submissions must compile once, failures must not be memoized, and both
+# bounds must hold. Covered by the -race run above; re-run -v so a failure
+# is named in the CI log. See docs/PERF.md, "Compiled-image memo".
+echo "==> image memo"
+go test -race -v -run '^(TestImageMemo.*|TestSweepImageMemoBounded|TestPrepareCellKeyMatchesRunKey|TestWeightedLRU)$' ./internal/service ./internal/store
+
 # Coordinator failover under the race detector, repeated: an adopted
 # cluster sweep must replay every cell the dead coordinator journaled,
 # including results still in the replication queue (read from the peer
