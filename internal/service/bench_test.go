@@ -113,3 +113,69 @@ func BenchmarkServiceCached(b *testing.B) {
 		}
 	}
 }
+
+// serveMix returns the /v1/run programs of perfbench's serve workload,
+// as it submits them: the 12 SPEC-shaped sources at ScaledDown(50) and
+// the micro.mcvm MiniC source.
+func serveMix(tb testing.TB) []RunRequest {
+	tb.Helper()
+	var reqs []RunRequest
+	for _, name := range workload.SPECNames() {
+		spec, err := workload.Get(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reqs = append(reqs, RunRequest{Name: name, Lang: LangAsm, Source: spec.Generate(spec.ScaledDown(50)), Arch: "arm", Mech: "sieve:16384", Seed: 0x9e3779b97f4a7c15})
+	}
+	mc, err := workload.Get("micro.mcvm")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(reqs, RunRequest{Name: "mcvm", Lang: LangMiniC, Source: workload.MCVMSource(mc.ScaledDown(50)), Arch: "x86", Mech: "ibtc:16384", Seed: 7})
+}
+
+// BenchmarkRunHit times one /v1/run store hit through the handler alone,
+// with no loopback: after one warm-up run the program is in the
+// image memo and its result in the store, so a hit is request decoding,
+// the memo and store lookups and the response write. quick is a 15-line
+// source; gcc, perlbmk and mcvm are serve-mix bodies of about 4.8, 7.4
+// and 2 KB.
+func BenchmarkRunHit(b *testing.B) {
+	reqs := []RunRequest{{Name: "quick", Source: quickSrc, Mech: "ibtc:4096"}}
+	for _, req := range serveMix(b) {
+		if req.Name == "gcc" || req.Name == "perlbmk" || req.Name == "mcvm" {
+			reqs = append(reqs, req)
+		}
+	}
+	for _, req := range reqs {
+		b.Run("src="+req.Name, func(b *testing.B) {
+			s, err := New(Config{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			body, err := json.Marshal(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			hit := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+				return rec
+			}
+			hit() // execute once: every timed request is a hit
+			if rec := hit(); !bytes.HasPrefix(rec.Body.Bytes(), []byte(`{"cached":true,`)) {
+				b.Fatalf("second request is not a hit: %.80s", rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hit()
+			}
+		})
+	}
+}

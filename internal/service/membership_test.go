@@ -662,6 +662,7 @@ var badMemberChanges = []struct{ name, body string }{
 	{"malformed JSON", `{"url":`},
 	{"not an object", `["http://a:1"]`},
 	{"bad url", `{"url":"ftp://a:1"}`},
+	{"trailing data", `{"url":"http://a:1"} trailing`},
 }
 
 func TestMemberChangeBadRequests(t *testing.T) {

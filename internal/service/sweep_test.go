@@ -332,6 +332,7 @@ var badSweeps = []struct{ name, body string }{
 	{"unknown field", `{"workloads":["gzip"],"bogus":1}`},
 	{"malformed JSON", `{"workloads":["gzip"]`},
 	{"bad id", `{"workloads":["gzip"],"id":"../escape"}`},
+	{"trailing data", `{"workloads":["gzip"]} trailing`},
 }
 
 // overflowSweep is a matrix of 2^16 entries per dimension: 2^64 cells,

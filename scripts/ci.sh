@@ -51,6 +51,14 @@ go test -race -v -run '^(TestSpanWalkEquivalence|TestSpanStampBoundToCache)$' ./
 echo "==> image memo"
 go test -race -v -run '^(TestImageMemo.*|TestSweepImageMemoBounded|TestPrepareCellKeyMatchesRunKey|TestWeightedLRU)$' ./internal/service ./internal/store
 
+# /v1/run request decoding: the one-pass scanner must decode exactly as
+# the encoding/json reference does or decline, every serve-mix body must
+# take the scanner, and the verbatim response write must equal
+# json.Encoder's bytes. Covered by the -race run above; re-run -v so a
+# failure is named in the CI log. See docs/PERF.md, "Request decoding".
+echo "==> run request decoding"
+go test -race -v -run '^(TestScanRun.*|FuzzDecodeRun|TestWriteRunMatchesEncoder|TestBodyCapAndTrailingData|TestBadRequests)$' ./internal/service
+
 # Coordinator failover under the race detector, repeated: an adopted
 # cluster sweep must replay every cell the dead coordinator journaled,
 # including results still in the replication queue (read from the peer
