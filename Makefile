@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race ci fuzz bench benchgate benchall vet smoke chaos evalref
+.PHONY: all test race ci fuzz benchgate benchall vet smoke chaos evalref
 
 all: test
 
@@ -14,16 +14,13 @@ race:            ## test suite under the race detector
 vet:
 	$(GO) vet ./...
 
-ci:              ## full gate: vet + build + race tests + fuzz/bench smokes
+ci:              ## full gate: vet + build + race tests + fuzz/bench smokes + bench gate
 	scripts/ci.sh
 
-fuzz:            ## longer fuzz session against the differential oracle
-	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzDifferential -fuzztime=5m
+fuzz:            ## longer fuzz session against the differential oracle (minimization bounded so it keeps executing)
+	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzDifferential -fuzztime=5m -fuzzminimizetime=100x
 
-bench:           ## remeasure the dispatch+sweep benchmarks and rewrite the BENCH_6.json baseline
-	scripts/bench.sh -update
-
-benchgate:       ## compare the dispatch+sweep benchmarks against the committed baseline
+benchgate:       ## paired A/B of the dispatch+sweep benchmarks against HEAD (scripts/bench.sh BASE for another base)
 	scripts/bench.sh
 
 evalref:         ## rerun the experiment suite and require it to match eval_reference.txt byte for byte

@@ -1,140 +1,85 @@
-// benchgate is the benchmark-regression gate: it parses `go test -bench`
-// output on stdin, reduces repeated runs (-count N) to per-benchmark
-// medians, and compares them against a committed JSON baseline.
+// benchgate is the paired A/B benchmark gate. It reads two files of
+// `go test -bench -benchmem` output, one from the base commit and one from
+// the change, each holding the same number of rounds of every benchmark,
+// and pairs the i-th sample of each benchmark across the two sides.
+// scripts/bench.sh produces the files by running the two sides' test
+// binaries alternately on one machine, so no number is ever compared with
+// one measured on another host or another day.
 //
 // Usage:
 //
-//	go test -run '^$' -bench ... -benchmem -count 5 ./internal/core | benchgate -baseline BENCH_4.json
-//	... | benchgate -baseline BENCH_4.json -update
+//	benchgate -bound 0.05 base.out change.out
 //
-// Without -update, benchgate exits nonzero when any benchmark's ns/op
-// regresses by more than -threshold percent (default 10, overridable with
-// the BENCH_THRESHOLD environment variable) or its allocs/op grows past a
-// lenient bound (25% + 5 allocs — sync.Pool refills after a GC make exact
-// allocation counts slightly noisy). A metric the baseline records but the
-// measurement lacks (a run without -benchmem, say) is a gate failure, not
-// a vacuous pass: absent metrics are represented as absent, never as zero.
-// -only restricts gating to baseline benchmarks matching a regexp, so one
-// baseline file can carry families gated at different thresholds (the
-// dispatch family at 5%, the noisier sweep-engine family at 10%).
+// A benchmark fails the gate when
 //
-// The gate is noise-adaptive: each benchmark's repetition spread
-// ((max-min)/median across -count runs) estimates the machine's own
-// timing jitter, and when that jitter exceeds the tolerance the
-// comparison is gated at the spread instead — a median shift smaller
-// than the run's own noise is not evidence of a regression, while a real
-// regression (well beyond the jitter band) still fails. Relaxations are
-// reported on stderr so a noisy environment is visible in the CI log.
-// With -update it rewrites the baseline's "after" section from the
-// measured medians, preserving the "before" section as the historical
-// record of the pre-optimization numbers. See docs/PERF.md.
+//   - time: the median of its per-round change/base ns/op ratios exceeds
+//     1+bound and the change was slower in at least 9 of every 10 rounds;
+//   - allocations: its fewest allocs/op in any round on the change side
+//     exceeds the base's, or the change lacks the metric the base has (a
+//     run without -benchmem must not pass vacuously). The fewest, not the
+//     median: a GC that empties a sync.Pool mid-round makes the next runs
+//     allocate afresh, which only ever adds allocations, so the round
+//     with the fewest is the steady-state count, and one more allocation
+//     per op raises every round;
+//   - missing: it is in the base output but not in the change's.
+//
+// A benchmark only in the change's output is a note. Unequal round counts
+// for one benchmark are an input error, not a verdict. See docs/PERF.md,
+// "The benchmark-regression gate".
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Metrics is one benchmark's reduced (median) measurement. NsPerOp is
-// present on every benchmark line; the remaining units only appear under
-// -benchmem (or as custom metrics), so they are pointers — nil means "not
-// measured", which is distinct from a measured zero.
-type Metrics struct {
-	NsPerOp     float64  `json:"ns_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	GuestMIPS   *float64 `json:"guest_mips,omitempty"`
-}
+// samples holds each benchmark's per-round values by unit, in input
+// order: name -> unit -> values. A unit a line did not carry is absent,
+// never zero.
+type samples map[string]map[string][]float64
 
-// Baseline is the committed BENCH_*.json schema. Before is informational
-// (the numbers the optimization started from); After is what the gate
-// compares against.
-type Baseline struct {
-	Note   string             `json:"note,omitempty"`
-	Before map[string]Metrics `json:"before,omitempty"`
-	After  map[string]Metrics `json:"after"`
+// report is the gate's finding: one summary line per benchmark measured
+// on both sides, notes, and the failures that make the gate exit nonzero.
+type report struct {
+	rows, notes, failures []string
 }
 
 func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_4.json", "baseline JSON path")
-		update       = flag.Bool("update", false, "rewrite the baseline's after section instead of gating")
-		threshold    = flag.Float64("threshold", defaultThreshold(), "ns/op regression tolerance, percent")
-		only         = flag.String("only", "", "regexp restricting gating to matching benchmark names (lets one baseline carry families gated at different thresholds)")
-	)
+	bound := flag.Float64("bound", 0.05, "time bound: fail when the median change/base ns/op ratio exceeds 1+bound (and the change is slower in 9 of 10 rounds)")
 	flag.Parse()
-
-	measured, spread, err := parseBench(os.Stdin, os.Stdout)
+	if flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -bound N base.out change.out")
+		os.Exit(2)
+	}
+	base, err := parseFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	if len(measured) == 0 {
-		fatal(fmt.Errorf("no benchmark lines on stdin"))
-	}
-
-	if *update {
-		if err := writeBaseline(*baselinePath, measured); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchgate: wrote %d benchmarks to %s\n", len(measured), *baselinePath)
-		return
-	}
-
-	base, err := readBaseline(*baselinePath)
+	change, err := parseFile(flag.Arg(1))
 	if err != nil {
 		fatal(err)
 	}
-	if len(base.After) == 0 {
-		fatal(fmt.Errorf("%s: empty after section (run scripts/bench.sh -update first)", *baselinePath))
-	}
-	compare := base.After
-	if *only != "" {
-		re, err := regexp.Compile(*only)
-		if err != nil {
-			fatal(fmt.Errorf("bad -only pattern: %w", err))
-		}
-		compare = map[string]Metrics{}
-		for name, m := range base.After {
-			if re.MatchString(name) {
-				compare[name] = m
-			}
-		}
-		if len(compare) == 0 {
-			fatal(fmt.Errorf("%s: no baseline benchmarks match -only %q", *baselinePath, *only))
-		}
-		filtered := map[string]Metrics{}
-		for name, m := range measured {
-			if re.MatchString(name) {
-				filtered[name] = m
-			}
-		}
-		measured = filtered
-	}
-	notes, err := gate(compare, measured, spread, *threshold)
-	for _, n := range notes {
-		fmt.Fprintln(os.Stderr, n)
-	}
+	r, err := gate(base, change, *bound)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", len(measured), *threshold, *baselinePath)
-}
-
-func defaultThreshold() float64 {
-	if s := os.Getenv("BENCH_THRESHOLD"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			return v
-		}
+	for _, l := range r.rows {
+		fmt.Println(l)
 	}
-	return 10
+	for _, n := range r.notes {
+		fmt.Fprintln(os.Stderr, "benchgate: note:", n)
+	}
+	if len(r.failures) > 0 {
+		fatal(fmt.Errorf("regression against the base at bound %g:\n  %s", *bound, strings.Join(r.failures, "\n  ")))
+	}
+	fmt.Printf("benchgate: %d benchmarks within bound %g of the base\n", len(r.rows), *bound)
 }
 
 func fatal(err error) {
@@ -142,27 +87,35 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// parseBench reads standard testing benchmark output and returns the
-// median of each metric across repeated runs of the same benchmark.
-// Every input line is echoed to echo (nil discards), so the gate's log
-// still shows the raw results. A benchmark line contributes whatever
-// value/unit pairs it carries; a trailing unpaired field (tool chatter
-// appended to a line) is ignored rather than discarding the whole line.
-func parseBench(r io.Reader, echo io.Writer) (map[string]Metrics, map[string]float64, error) {
-	samples := map[string]map[string][]float64{} // name -> unit -> values
+func parseFile(path string) (samples, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s, err := parseBench(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(s) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines", path)
+	}
+	return s, nil
+}
+
+// parseBench reads standard testing benchmark output. A benchmark line
+// contributes whatever value/unit pairs it carries; a trailing unpaired
+// field (tool chatter appended to a line) is ignored rather than
+// discarding the whole line, and prose starting with "Benchmark" is
+// skipped.
+func parseBench(r io.Reader) (samples, error) {
+	out := samples{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 256<<10), 256<<10)
 	for sc.Scan() {
-		line := sc.Text()
-		if echo != nil {
-			fmt.Fprintln(echo, line)
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
+		fields := strings.Fields(sc.Text())
 		// Name, iteration count, then value/unit pairs.
-		if len(fields) < 4 {
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		if _, err := strconv.Atoi(fields[1]); err != nil {
@@ -170,66 +123,22 @@ func parseBench(r io.Reader, echo io.Writer) (map[string]Metrics, map[string]flo
 		}
 		name := fields[0]
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			name = name[:i] // strip the -GOMAXPROCS suffix
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i] // strip the -GOMAXPROCS suffix
+			}
 		}
-		if samples[name] == nil {
-			samples[name] = map[string][]float64{}
+		if out[name] == nil {
+			out[name] = map[string][]float64{}
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			unit := fields[i+1]
-			samples[name][unit] = append(samples[name][unit], v)
+			out[name][fields[i+1]] = append(out[name][fields[i+1]], v)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	out := make(map[string]Metrics, len(samples))
-	spread := make(map[string]float64, len(samples))
-	for name, units := range samples {
-		ns, ok := median(units["ns/op"])
-		if !ok {
-			continue // no timing samples: not a measurement
-		}
-		m := Metrics{NsPerOp: ns}
-		m.AllocsPerOp = medianPtr(units["allocs/op"])
-		m.BytesPerOp = medianPtr(units["B/op"])
-		m.GuestMIPS = medianPtr(units["guest-MIPS"])
-		out[name] = m
-		spread[name] = spreadPct(units["ns/op"])
-	}
-	return out, spread, nil
-}
-
-// spreadPct quantifies this run's own timing noise for one benchmark:
-// (max-min)/median across the repetitions, in percent. On a quiet
-// machine with -count >= 5 this sits in the low single digits; on a
-// shared or frequency-throttled host it can exceed any fixed tolerance,
-// in which case a median-vs-baseline comparison tighter than the spread
-// is noise, not signal — the gate relaxes to it (with a note) rather
-// than flagging phantom regressions. A single repetition has zero
-// spread and gates strictly; use -count >= 5 for a meaningful estimate.
-func spreadPct(vs []float64) float64 {
-	if len(vs) < 2 {
-		return 0
-	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	med, _ := median(vs)
-	if med <= 0 {
-		return 0
-	}
-	return 100 * (hi - lo) / med
+	return out, sc.Err()
 }
 
 // median reduces samples; ok is false when there are none (the caller
@@ -240,104 +149,78 @@ func median(vs []float64) (v float64, ok bool) {
 	}
 	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
+	n := len(s)
+	if n%2 == 1 {
 		return s[n/2], true
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2, true
 	}
+	return (s[n/2-1] + s[n/2]) / 2, true
 }
 
-func medianPtr(vs []float64) *float64 {
-	if v, ok := median(vs); ok {
-		return &v
+// fewest returns the smallest sample; ok is false when there are none.
+func fewest(vs []float64) (v float64, ok bool) {
+	if len(vs) == 0 {
+		return 0, false
 	}
-	return nil
+	return slices.Min(vs), true
 }
 
-// gate compares measured medians against the baseline. Benchmarks or
-// metrics missing from the measurement fail the gate (a run without
-// -benchmem must not pass the allocs bound vacuously); benchmarks only
-// present in the measurement are reported as notes and join the baseline
-// via -update. When a benchmark's own repetition spread exceeds the
-// tolerance, the comparison is gated at the spread instead (see
-// spreadPct) and the relaxation is reported as a note.
-func gate(base, measured map[string]Metrics, spread map[string]float64, threshold float64) (notes []string, err error) {
-	var failures []string
+// gate applies the time, allocation and missing-row rules to every
+// benchmark in base, pairing round i of each side.
+func gate(base, change samples, bound float64) (report, error) {
+	var r report
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		b := base[name]
-		m, ok := measured[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: in baseline but not measured", name))
+		b, c := base[name]["ns/op"], change[name]["ns/op"]
+		if len(b) == 0 {
+			continue // no timing samples: not a measurement
+		}
+		if len(c) == 0 {
+			r.failures = append(r.failures, fmt.Sprintf("%s: in the base but not measured on the change", name))
 			continue
 		}
-		allowed := threshold
-		if s := spread[name]; s > allowed {
-			allowed = s
-			notes = append(notes, fmt.Sprintf(
-				"benchgate: note: %s: repetition spread %.1f%% exceeds %.0f%% tolerance; gating at the spread",
-				name, s, threshold))
+		if len(b) != len(c) {
+			return report{}, fmt.Errorf("%s: %d base rounds but %d change rounds", name, len(b), len(c))
 		}
-		if b.NsPerOp > 0 && m.NsPerOp > b.NsPerOp*(1+allowed/100) {
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
-				name, m.NsPerOp, b.NsPerOp, 100*(m.NsPerOp/b.NsPerOp-1), allowed))
-		}
-		// Allocations in steady state are pooled, but a GC mid-benchmark
-		// refills pools from the heap; allow headroom before failing.
-		if b.AllocsPerOp != nil {
-			switch {
-			case m.AllocsPerOp == nil:
-				failures = append(failures, fmt.Sprintf(
-					"%s: allocs/op metric missing (baseline has %.0f; run with -benchmem)", name, *b.AllocsPerOp))
-			case *m.AllocsPerOp > *b.AllocsPerOp*1.25+5:
-				failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (allowed %.0f)",
-					name, *m.AllocsPerOp, *b.AllocsPerOp, *b.AllocsPerOp*1.25+5))
+		ratios := make([]float64, len(b))
+		slower := 0
+		for i := range b {
+			ratios[i] = c[i] / b[i]
+			if c[i] > b[i] {
+				slower++
 			}
 		}
+		ratio, _ := median(ratios)
+		baseNs, _ := median(b)
+		row := fmt.Sprintf("%-44s %12.0f ns/op  ratio %.3f  slower %d/%d", name, baseNs, ratio, slower, len(b))
+		if ratio > 1+bound && slower*10 >= 9*len(b) {
+			r.failures = append(r.failures, fmt.Sprintf("%s: median ratio %.3f > %.3f, slower in %d of %d rounds",
+				name, ratio, 1+bound, slower, len(b)))
+		}
+		if ba, ok := fewest(base[name]["allocs/op"]); ok {
+			if ca, ok := fewest(change[name]["allocs/op"]); !ok {
+				r.failures = append(r.failures, fmt.Sprintf("%s: allocs/op missing on the change (base has %g; run with -benchmem)", name, ba))
+			} else {
+				row += fmt.Sprintf("  allocs %g -> %g", ba, ca)
+				if ca > ba {
+					r.failures = append(r.failures, fmt.Sprintf("%s: allocs/op %g > base %g (fewest in any round)", name, ca, ba))
+				}
+			}
+		}
+		r.rows = append(r.rows, row)
 	}
 	extra := make([]string, 0)
-	for name := range measured {
+	for name := range change {
 		if _, ok := base[name]; !ok {
 			extra = append(extra, name)
 		}
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		notes = append(notes, fmt.Sprintf("benchgate: note: %s not in baseline (run with -update to add it)", name))
+		r.notes = append(r.notes, name+" measured on the change only")
 	}
-	if len(failures) > 0 {
-		return notes, fmt.Errorf("regression detected:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return notes, nil
-}
-
-func readBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// writeBaseline replaces the after section with the measured medians,
-// keeping note and before from any existing file.
-func writeBaseline(path string, measured map[string]Metrics) error {
-	b := &Baseline{}
-	if old, err := readBaseline(path); err == nil {
-		b.Note, b.Before = old.Note, old.Before
-	}
-	b.After = measured
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return r, nil
 }

@@ -1,11 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
-
-func f(v float64) *float64 { return &v }
 
 const benchmemOutput = `goos: linux
 goarch: amd64
@@ -22,49 +21,56 @@ BenchmarkRunDispatchIBTC-8   	     100	  15256894 ns/op	        42.28 guest-MIPS
 PASS
 `
 
+// Each benchmark's samples are kept per unit in input order, so round i
+// of one side pairs with round i of the other.
 func TestParseBenchMedians(t *testing.T) {
-	got, _, err := parseBench(strings.NewReader(benchmemOutput), nil)
+	got, err := parseBench(strings.NewReader(benchmemOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := got["BenchmarkRunDispatchIBTC"]
+	units, ok := got["BenchmarkRunDispatchIBTC"]
 	if !ok {
 		t.Fatalf("benchmark not parsed; got %v", got)
 	}
-	if m.NsPerOp != 15256894 {
-		t.Errorf("ns/op median = %v, want 15256894", m.NsPerOp)
+	want := map[string][]float64{
+		"ns/op":      {15256894, 15000000, 16000000},
+		"guest-MIPS": {42.28, 43.00, 41.00},
+		"B/op":       {4347643, 4347000, 4348000},
+		"allocs/op":  {59, 61, 57},
 	}
-	if m.AllocsPerOp == nil || *m.AllocsPerOp != 59 {
-		t.Errorf("allocs/op median = %v, want 59", m.AllocsPerOp)
+	for unit, vs := range want {
+		if fmt.Sprint(units[unit]) != fmt.Sprint(vs) {
+			t.Errorf("%s = %v, want %v", unit, units[unit], vs)
+		}
 	}
-	if m.BytesPerOp == nil || *m.BytesPerOp != 4347643 {
-		t.Errorf("B/op median = %v, want 4347643", m.BytesPerOp)
+	if m, _ := median(units["ns/op"]); m != 15256894 {
+		t.Errorf("ns/op median = %v, want 15256894", m)
 	}
-	if m.GuestMIPS == nil || *m.GuestMIPS != 42.28 {
-		t.Errorf("guest-MIPS median = %v, want 42.28", m.GuestMIPS)
+	if m, _ := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("even-count median = %v, want 2.5", m)
 	}
 }
 
 // A run without -benchmem must parse with the memory metrics ABSENT —
-// not as a measured 0 (the bug this file pins down: median(nil) used to
-// return 0, letting the allocs bound pass vacuously).
+// not as a measured 0 (median(nil) used to return 0, letting the allocs
+// rule pass vacuously).
 func TestParseBenchWithoutBenchmemLeavesMetricsAbsent(t *testing.T) {
-	got, _, err := parseBench(strings.NewReader(noBenchmemOutput), nil)
+	got, err := parseBench(strings.NewReader(noBenchmemOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := got["BenchmarkRunDispatchIBTC"]
+	units, ok := got["BenchmarkRunDispatchIBTC"]
 	if !ok {
 		t.Fatalf("benchmark not parsed; got %v", got)
 	}
-	if m.AllocsPerOp != nil {
-		t.Errorf("allocs/op = %v, want absent (nil)", *m.AllocsPerOp)
+	if _, ok := median(units["allocs/op"]); ok {
+		t.Errorf("allocs/op = %v, want absent", units["allocs/op"])
 	}
-	if m.BytesPerOp != nil {
-		t.Errorf("B/op = %v, want absent (nil)", *m.BytesPerOp)
+	if _, ok := units["B/op"]; ok {
+		t.Errorf("B/op = %v, want absent", units["B/op"])
 	}
-	if m.NsPerOp != 15256894 {
-		t.Errorf("ns/op = %v, want 15256894", m.NsPerOp)
+	if m, _ := median(units["ns/op"]); m != 15256894 {
+		t.Errorf("ns/op = %v, want 15256894", m)
 	}
 }
 
@@ -72,150 +78,210 @@ func TestParseBenchWithoutBenchmemLeavesMetricsAbsent(t *testing.T) {
 // prefix must be kept and only the unpaired trailing field ignored.
 func TestParseBenchOddFieldLine(t *testing.T) {
 	odd := "BenchmarkOdd-8   	     100	  123 ns/op	      7 allocs/op	trailing\n"
-	got, _, err := parseBench(strings.NewReader(odd), nil)
+	got, err := parseBench(strings.NewReader(odd))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := got["BenchmarkOdd"]
+	units, ok := got["BenchmarkOdd"]
 	if !ok {
 		t.Fatalf("odd-field line dropped; got %v", got)
 	}
-	if m.NsPerOp != 123 {
-		t.Errorf("ns/op = %v, want 123", m.NsPerOp)
-	}
-	if m.AllocsPerOp == nil || *m.AllocsPerOp != 7 {
-		t.Errorf("allocs/op = %v, want 7", m.AllocsPerOp)
+	if fmt.Sprint(units["ns/op"], units["allocs/op"]) != "[123] [7]" {
+		t.Errorf("ns/op, allocs/op = %v, %v; want [123], [7]", units["ns/op"], units["allocs/op"])
 	}
 }
 
-func TestParseBenchIgnoresProseAndEchoes(t *testing.T) {
+func TestParseBenchIgnoresProse(t *testing.T) {
 	input := "BenchmarkResults were inconclusive today\nBenchmarkReal-4 10 50 ns/op\n"
-	var echo strings.Builder
-	got, _, err := parseBench(strings.NewReader(input), &echo)
+	got, err := parseBench(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := got["BenchmarkResults"]; ok {
 		t.Error("prose line starting with Benchmark was parsed as a result")
 	}
-	if m, ok := got["BenchmarkReal"]; !ok || m.NsPerOp != 50 {
+	if units, ok := got["BenchmarkReal"]; !ok || len(units["ns/op"]) != 1 || units["ns/op"][0] != 50 {
 		t.Errorf("real line not parsed: %v", got)
-	}
-	if echo.String() != input {
-		t.Errorf("echo = %q, want the verbatim input", echo.String())
 	}
 }
 
-// The regression this PR fixes: a baseline with an allocs bound gated
-// against a no-benchmem measurement must FAIL with a "missing" report,
-// not pass by comparing against a fabricated zero.
-func TestGateMissingAllocsMetricFails(t *testing.T) {
-	base := map[string]Metrics{
-		"BenchmarkRunDispatchIBTC": {NsPerOp: 15256894, AllocsPerOp: f(59)},
-	}
-	measured, _, err := parseBench(strings.NewReader(noBenchmemOutput), nil)
+// Only a numeric -GOMAXPROCS suffix is stripped: with GOMAXPROCS=1 the
+// testing package prints none, and a sub-benchmark name may hold a dash.
+func TestParseBenchStripsOnlyProcsSuffix(t *testing.T) {
+	input := "BenchmarkNativeRun/gcc/x86-2 10 50 ns/op\nBenchmarkRunHit/src=a-b 10 60 ns/op\n"
+	got, err := parseBench(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gerr := gate(base, measured, nil, 10)
-	if gerr == nil {
-		t.Fatal("gate passed with the allocs metric missing from the measurement")
+	for _, name := range []string{"BenchmarkNativeRun/gcc/x86", "BenchmarkRunHit/src=a-b"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s not parsed; got %v", name, got)
+		}
 	}
-	if !strings.Contains(gerr.Error(), "missing") {
-		t.Errorf("gate error %q does not report the metric as missing", gerr)
+}
+
+// rounds builds a benchmark's per-round samples: ns/op values and a
+// constant allocs/op.
+func rounds(ns []float64, allocs float64) map[string][]float64 {
+	a := make([]float64, len(ns))
+	for i := range a {
+		a[i] = allocs
+	}
+	return map[string][]float64{"ns/op": ns, "allocs/op": a}
+}
+
+// aaRounds is ten rounds of one benchmark with a few percent of jitter.
+var aaRounds = []float64{100, 103, 98, 101, 99, 104, 97, 100, 102, 99}
+
+func scaled(ns []float64, f func(i int) float64) []float64 {
+	out := make([]float64, len(ns))
+	for i, v := range ns {
+		out[i] = v * f(i)
+	}
+	return out
+}
+
+func mustGate(t *testing.T, base, change samples, bound float64) report {
+	t.Helper()
+	r, err := gate(base, change, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func failsOn(r report, name string) bool {
+	for _, f := range r.failures {
+		if strings.HasPrefix(f, name+":") {
+			return true
+		}
+	}
+	return false
+}
+
+// An A/A comparison — the same samples in another order on the change
+// side — passes, and every benchmark gets a summary row.
+func TestGateAAPasses(t *testing.T) {
+	base := samples{"A": rounds(aaRounds, 3), "B": rounds(scaled(aaRounds, func(int) float64 { return 7 }), 0)}
+	rev := make([]float64, len(aaRounds))
+	for i, v := range aaRounds {
+		rev[len(rev)-1-i] = v
+	}
+	change := samples{"A": rounds(rev, 3), "B": rounds(scaled(rev, func(int) float64 { return 7 }), 0)}
+	r := mustGate(t, base, change, 0.05)
+	if len(r.failures) != 0 || len(r.notes) != 0 {
+		t.Fatalf("A/A: failures %v, notes %v", r.failures, r.notes)
+	}
+	if len(r.rows) != 2 {
+		t.Fatalf("rows = %v, want one per benchmark", r.rows)
+	}
+}
+
+// A uniform +10% fails a 5% bound and passes a 10% one (the sweep
+// family's); a benchmark in the base but not in the change fails.
+func TestGateNsRegressionAndMissingBenchmark(t *testing.T) {
+	base := samples{"A": rounds(aaRounds, 0), "B": rounds(aaRounds, 0)}
+	change := samples{
+		"A": rounds(scaled(aaRounds, func(int) float64 { return 1.10 }), 0),
+		"B": rounds(scaled(aaRounds, func(int) float64 { return 1.10 }), 0),
+	}
+	r := mustGate(t, base, change, 0.05)
+	if !failsOn(r, "A") || !failsOn(r, "B") {
+		t.Fatalf("uniform +10%% passed a 5%% bound: %v", r.failures)
+	}
+	if r := mustGate(t, base, change, 0.10); len(r.failures) != 0 {
+		t.Fatalf("uniform +10%% failed a 10%% bound: %v", r.failures)
+	}
+	r = mustGate(t, base, samples{"A": rounds(aaRounds, 0)}, 0.05)
+	if !failsOn(r, "B") || len(r.failures) != 1 {
+		t.Fatalf("failures = %v, want B reported missing", r.failures)
+	}
+}
+
+// One row slower by 20% in every round fails and is named; its neighbour
+// at parity passes.
+func TestGateOneSlowRowFails(t *testing.T) {
+	base := samples{"Fast": rounds(aaRounds, 0), "Slow": rounds(aaRounds, 0)}
+	change := samples{
+		"Fast": rounds(aaRounds, 0),
+		"Slow": rounds(scaled(aaRounds, func(int) float64 { return 1.20 }), 0),
+	}
+	r := mustGate(t, base, change, 0.05)
+	if !failsOn(r, "Slow") || failsOn(r, "Fast") || len(r.failures) != 1 {
+		t.Fatalf("failures = %v, want Slow alone", r.failures)
+	}
+}
+
+// A median ratio past the bound is not enough: the change must also be
+// slower in 9 of 10 rounds. 1.06 with 7 of 10 slower rounds passes; the
+// same median with 9 of 10 fails.
+func TestGateNeedsNineOfTenSlowerRounds(t *testing.T) {
+	seven := []float64{1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 0.99, 0.99, 0.99}
+	nine := []float64{1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 1.06, 0.99}
+	base := samples{"A": rounds(aaRounds, 0)}
+	r := mustGate(t, base, samples{"A": rounds(scaled(aaRounds, func(i int) float64 { return seven[i] }), 0)}, 0.05)
+	if len(r.failures) != 0 {
+		t.Fatalf("median 1.06 slower in 7 of 10 failed: %v (rows %v)", r.failures, r.rows)
+	}
+	r = mustGate(t, base, samples{"A": rounds(scaled(aaRounds, func(i int) float64 { return nine[i] }), 0)}, 0.05)
+	if !failsOn(r, "A") {
+		t.Fatalf("median 1.06 slower in 9 of 10 passed (rows %v)", r.rows)
 	}
 }
 
 func TestGateAllocsRegression(t *testing.T) {
-	base := map[string]Metrics{"B": {NsPerOp: 100, AllocsPerOp: f(10)}}
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 100, AllocsPerOp: f(17)}}, nil, 10); err != nil {
-		// Sanity of the lenient bound: 17 is under 10*1.25+5 = 17.5.
-		t.Errorf("unexpected failure at the bound: %v", err)
+	base := samples{"A": rounds(aaRounds, 17)}
+	if r := mustGate(t, base, samples{"A": rounds(aaRounds, 17)}, 0.05); len(r.failures) != 0 {
+		t.Fatalf("equal allocs failed: %v", r.failures)
 	}
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 100, AllocsPerOp: f(18)}}, nil, 10); err == nil {
-		t.Error("allocs regression above the lenient bound passed")
+	r := mustGate(t, base, samples{"A": rounds(aaRounds, 18)}, 0.05)
+	if !failsOn(r, "A") || !strings.Contains(r.failures[0], "allocs/op") {
+		t.Fatalf("one extra allocation per op passed: %v", r.failures)
+	}
+	// Fewer allocations are not a failure.
+	if r := mustGate(t, base, samples{"A": rounds(aaRounds, 16)}, 0.05); len(r.failures) != 0 {
+		t.Fatalf("fewer allocs failed: %v", r.failures)
 	}
 }
 
-func TestGateNsRegressionAndMissingBenchmark(t *testing.T) {
-	base := map[string]Metrics{"B": {NsPerOp: 100}}
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 109}}, nil, 10); err != nil {
-		t.Errorf("+9%% within 10%% tolerance failed: %v", err)
+// A GC that empties a sync.Pool mid-round adds allocations to that round
+// alone (BenchmarkFlushStorm reads 41, 42 or 43 allocs/op from one
+// binary), so rounds whose medians differ pass while the fewest agree.
+func TestGateAllocationRefillNoisePasses(t *testing.T) {
+	base := samples{"A": {"ns/op": aaRounds, "allocs/op": {41, 41, 43, 41, 42, 41, 41, 42, 41, 41}}}
+	change := samples{"A": {"ns/op": aaRounds, "allocs/op": {42, 41, 43, 42, 41, 42, 42, 41, 43, 42}}}
+	if r := mustGate(t, base, change, 0.05); len(r.failures) != 0 {
+		t.Fatalf("pool-refill noise failed the gate: %v", r.failures)
 	}
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 115}}, nil, 10); err == nil {
-		t.Error("+15% ns/op regression passed a 10% gate")
-	}
-	if _, err := gate(base, map[string]Metrics{"Other": {NsPerOp: 1}}, nil, 10); err == nil {
-		t.Error("baseline benchmark absent from the measurement passed")
+}
+
+// A change measured without -benchmem must fail with a "missing" report,
+// not pass by comparing against a fabricated zero.
+func TestGateMissingAllocsMetricFails(t *testing.T) {
+	base := samples{"A": rounds(aaRounds, 59)}
+	change := samples{"A": {"ns/op": aaRounds}}
+	r := mustGate(t, base, change, 0.05)
+	if !failsOn(r, "A") || !strings.Contains(r.failures[0], "missing") {
+		t.Fatalf("failures = %v, want the allocs metric reported missing", r.failures)
 	}
 }
 
 func TestGateNewBenchmarkIsANote(t *testing.T) {
-	base := map[string]Metrics{"B": {NsPerOp: 100}}
-	measured := map[string]Metrics{
-		"B":   {NsPerOp: 100},
-		"New": {NsPerOp: 5},
+	base := samples{"A": rounds(aaRounds, 0)}
+	change := samples{"A": rounds(aaRounds, 0), "New": rounds(aaRounds, 0)}
+	r := mustGate(t, base, change, 0.05)
+	if len(r.failures) != 0 {
+		t.Fatalf("a benchmark only on the change failed the gate: %v", r.failures)
 	}
-	notes, err := gate(base, measured, nil, 10)
-	if err != nil {
-		t.Fatalf("new benchmark failed the gate: %v", err)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "New") {
-		t.Errorf("notes = %v, want one mentioning New", notes)
+	if len(r.notes) != 1 || !strings.Contains(r.notes[0], "New") {
+		t.Fatalf("notes = %v, want one naming New", r.notes)
 	}
 }
 
-// Repetition spread is (max-min)/median of the ns/op samples, in percent.
-func TestParseBenchReportsSpread(t *testing.T) {
-	_, spread, err := parseBench(strings.NewReader(benchmemOutput), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Samples 15256894, 15000000, 16000000: median 15256894,
-	// spread = (16000000-15000000)/15256894 = 6.5544...%.
-	got := spread["BenchmarkRunDispatchIBTC"]
-	if got < 6.5 || got > 6.6 {
-		t.Errorf("spread = %v%%, want ~6.55%%", got)
-	}
-	if s := spreadPct([]float64{100}); s != 0 {
-		t.Errorf("single-sample spread = %v, want 0 (strict gating)", s)
-	}
-	if s := spreadPct(nil); s != 0 {
-		t.Errorf("no-sample spread = %v, want 0", s)
-	}
-}
-
-// The noise-adaptive gate: a median shift smaller than the run's own
-// repetition spread passes (with a note naming the relaxation), while a
-// regression beyond the spread still fails.
-func TestGateRelaxesToMeasurementSpread(t *testing.T) {
-	base := map[string]Metrics{"B": {NsPerOp: 100}}
-	noisy := map[string]float64{"B": 20}
-
-	notes, err := gate(base, map[string]Metrics{"B": {NsPerOp: 112}}, noisy, 5)
-	if err != nil {
-		t.Errorf("+12%% inside a 20%% spread failed a 5%% gate: %v", err)
-	}
-	found := false
-	for _, n := range notes {
-		if strings.Contains(n, "spread") && strings.Contains(n, "B") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("notes = %v, want one reporting the spread relaxation", notes)
-	}
-
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 125}}, noisy, 5); err == nil {
-		t.Error("+25% beyond a 20% spread passed")
-	}
-
-	// A quiet machine (spread below tolerance) keeps the strict gate.
-	quiet := map[string]float64{"B": 2}
-	if _, err := gate(base, map[string]Metrics{"B": {NsPerOp: 108}}, quiet, 5); err == nil {
-		t.Error("+8% with 2% spread passed a 5% gate")
-	}
-	if notes, err := gate(base, map[string]Metrics{"B": {NsPerOp: 104}}, quiet, 5); err != nil || len(notes) != 0 {
-		t.Errorf("+4%% with 2%% spread: err=%v notes=%v, want clean pass", err, notes)
+func TestGateUnequalRoundsIsAnError(t *testing.T) {
+	base := samples{"A": rounds(aaRounds, 0)}
+	change := samples{"A": rounds(aaRounds[:9], 0)}
+	if _, err := gate(base, change, 0.05); err == nil || !strings.Contains(err.Error(), "rounds") {
+		t.Fatalf("10 base rounds against 9 change rounds: err = %v, want a round-count error", err)
 	}
 }

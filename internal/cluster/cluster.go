@@ -74,9 +74,6 @@ type Config struct {
 	// push, probe, journal push, fetch and tombstone, and membership
 	// broadcast (0 = 5s).
 	FetchTimeout time.Duration
-	// VNodes is the virtual nodes per member on the ring (0 = 64).
-	// All members must use the same value.
-	VNodes int
 	// Client is the HTTP client for fetches and probes (nil = a
 	// dedicated default client).
 	Client *http.Client
@@ -150,7 +147,6 @@ type PeerHealth struct {
 type Cluster struct {
 	selfName string
 	rf       int // configured replication factor (clamped per view)
-	vnodes   int
 	brN      int
 	brWait   time.Duration
 	client   *http.Client
@@ -219,7 +215,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		selfName:   selfName,
 		rf:         rf,
-		vnodes:     cfg.VNodes,
 		brN:        threshold,
 		brWait:     cfg.BreakerCooldown,
 		client:     client,
@@ -282,7 +277,7 @@ func (c *Cluster) makeView(epoch uint64, urls []string, reuse *View) (*View, err
 	if !selfSeen {
 		return nil, errSelfExcluded
 	}
-	return buildView(epoch, members, c.vnodes, c.rf)
+	return buildView(epoch, members, c.rf)
 }
 
 // errSelfExcluded marks a membership update that does not contain the

@@ -14,7 +14,7 @@ import (
 func ownerSets(names []string, rf int, keys []string) map[string]string {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	r := newRing(sorted, 0)
+	r := newRing(sorted, defaultVNodes)
 	sets := make(map[string]string, len(keys))
 	for _, key := range keys {
 		idx := r.successors(key)

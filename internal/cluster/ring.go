@@ -72,9 +72,6 @@ func hash64(s string) uint64 {
 // irrelevant — placement depends only on the set of names, which is
 // what keeps ownership stable across restarts and config reordering).
 func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
 	r := &ring{
 		points:  make([]ringPoint, 0, len(names)*vnodes),
 		members: len(names),

@@ -18,8 +18,8 @@ func ringKeys(n int) []string {
 // they must all agree.
 func TestRingOrderIndependent(t *testing.T) {
 	keys := ringKeys(500)
-	a := newRing([]string{"n1:1", "n2:2", "n3:3"}, 0)
-	b := newRing([]string{"n3:3", "n1:1", "n2:2"}, 0)
+	a := newRing([]string{"n1:1", "n2:2", "n3:3"}, defaultVNodes)
+	b := newRing([]string{"n3:3", "n1:1", "n2:2"}, defaultVNodes)
 	nameA := []string{"n1:1", "n2:2", "n3:3"}
 	nameB := []string{"n3:3", "n1:1", "n2:2"}
 	for _, k := range keys {
@@ -36,8 +36,8 @@ func TestRingConsistency(t *testing.T) {
 	keys := ringKeys(2000)
 	full := []string{"a:1", "b:2", "c:3", "d:4"}
 	without := []string{"a:1", "b:2", "d:4"} // c:3 removed
-	rf := newRing(full, 0)
-	rw := newRing(without, 0)
+	rf := newRing(full, defaultVNodes)
+	rw := newRing(without, defaultVNodes)
 	moved := 0
 	for _, k := range keys {
 		was := full[rf.owner(k)]
@@ -54,11 +54,11 @@ func TestRingConsistency(t *testing.T) {
 	}
 }
 
-// With 64 vnodes per member no node should own a wildly outsized key
+// With defaultVNodes per member no node should own a wildly outsized key
 // share.
 func TestRingBalance(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3"}
-	r := newRing(members, 0)
+	r := newRing(members, defaultVNodes)
 	counts := make([]int, len(members))
 	for _, k := range ringKeys(9000) {
 		counts[r.owner(k)]++
@@ -75,7 +75,7 @@ func TestRingBalance(t *testing.T) {
 // exactly once, deterministically.
 func TestRingSuccessors(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3", "d:4"}
-	r := newRing(members, 0)
+	r := newRing(members, defaultVNodes)
 	for _, k := range ringKeys(100) {
 		succ := r.successors(k)
 		if len(succ) != len(members) {

@@ -96,7 +96,7 @@ func (v *View) Assign(key string, ok func(*Peer) bool) *Peer {
 
 // buildView assembles a View over members (which must already carry
 // exactly one self peer). It sorts members by name and builds the ring.
-func buildView(epoch uint64, members []*Peer, vnodes, rf int) (*View, error) {
+func buildView(epoch uint64, members []*Peer, rf int) (*View, error) {
 	sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
 	names := make([]string, len(members))
 	var self *Peer
@@ -118,7 +118,7 @@ func buildView(epoch uint64, members []*Peer, vnodes, rf int) (*View, error) {
 	return &View{
 		epoch:   epoch,
 		members: members,
-		ring:    newRing(names, vnodes),
+		ring:    newRing(names, defaultVNodes),
 		self:    self,
 		rf:      rf,
 	}, nil

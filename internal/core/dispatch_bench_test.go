@@ -13,8 +13,8 @@ import (
 // Dispatch-heavy benchmark programs. Each spends nearly all of its time in
 // the steady-state dispatch loop (translation is a negligible prefix), so
 // ns/op and allocs/op here measure the simulator's hot path, not setup.
-// These are the benchmarks the perf-regression gate (scripts/bench.sh,
-// BENCH_*.json) tracks; see docs/PERF.md.
+// These are the benchmarks the perf-regression gate (scripts/bench.sh, a
+// paired A/B against a base commit) tracks; see docs/PERF.md.
 const benchDispatchSrc = `
 	; indirect-jump dispatch loop: a bytecode-interpreter shape where
 	; every iteration executes an indirect jump through a table.
@@ -171,8 +171,8 @@ func runDispatchBench(b *testing.B, src, spec string) {
 }
 
 // The BenchmarkRun family is the dispatch-heavy benchmark set the
-// regression gate tracks (scripts/bench.sh compares them against the
-// committed BENCH_*.json baseline).
+// regression gate tracks (scripts/bench.sh times them against the same
+// benchmarks built from a base commit, alternating the two binaries).
 
 func BenchmarkRunDispatchIBTC(b *testing.B) {
 	runDispatchBench(b, benchDispatchSrc, "ibtc:4096")

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"unsafe"
 
 	"sdt/internal/isa"
@@ -41,11 +40,13 @@ func newImageMemo() *store.Group[*compiledImage] {
 // because the image bytes, and so the store key, include the name.
 func runImageKey(req *RunRequest) string {
 	h := sha256.New()
+	var n [8]byte
 	for _, s := range []string{req.Lang, req.Name, req.Source} {
-		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
 		h.Write(n[:])
-		io.WriteString(h, s)
+		// The digest has no WriteString, so io.WriteString would copy
+		// the whole source first; Write only reads its argument.
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
 	return "run|" + hex.EncodeToString(h.Sum(nil))
 }

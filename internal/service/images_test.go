@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -303,5 +306,29 @@ func TestSweepImageMemoBounded(t *testing.T) {
 		if !bytes.Equal(c.Result, want) {
 			t.Errorf("scale %d: cell result differs from a direct run:\n%s\n%s", c.Scale, c.Result, want)
 		}
+	}
+}
+
+// runImageKey is the sha256 of the length-prefixed language, name and
+// source, byte for byte, and hashes the strings where they lie: its
+// allocations are the digest's and the key's, with no copy of a 64 KiB
+// source. io.WriteString on the digest, which has no WriteString method,
+// copied each string before hashing it.
+func TestRunImageKeyHashesInPlace(t *testing.T) {
+	req := &RunRequest{Lang: LangAsm, Name: "big", Source: strings.Repeat("\tnop\n", 64<<10/5)}
+	var buf bytes.Buffer
+	for _, s := range []string{req.Lang, req.Name, req.Source} {
+		binary.Write(&buf, binary.LittleEndian, uint64(len(s)))
+		buf.WriteString(s)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := runImageKey(req), "run|"+hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("runImageKey = %s, want %s", got, want)
+	}
+	// The digest's and the key's own allocations; the version that
+	// copied each string made 8.
+	const budget = 4
+	if allocs := testing.AllocsPerRun(100, func() { runImageKey(req) }); allocs > budget {
+		t.Errorf("runImageKey allocates %v times per call, want at most %d", allocs, budget)
 	}
 }

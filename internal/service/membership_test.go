@@ -441,19 +441,17 @@ func TestClusterSweepSpansMembershipChange(t *testing.T) {
 		status, merged, _ := clusterSweep(t, nodes[0].ts, clusterMatrix, "")
 		res <- sweepResult{status, merged}
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cells uint64
-		for _, n := range nodes {
-			cells += n.s.met.sweepCells.get(outcomeOK).Value()
+	// Join once the fleet completed at least one cell (but, with 150ms
+	// latency per cell, not the whole matrix). The coordinator's merged
+	// count covers its own shard as well as its peers';
+	// sdtd_sweep_cells_total counts only shards run for a peer, and stays
+	// 0 when the ring gives every cell to the coordinator.
+	for nodes[0].s.met.clusterCells.get(outcomeOK).Value() == 0 {
+		select {
+		case r := <-res:
+			t.Fatalf("sweep ended (status %d) before the join", r.status)
+		case <-time.After(5 * time.Millisecond):
 		}
-		if cells > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell completed before the join")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	if status, body := postAdmin(t, nodes[0].ts.URL+"/v1/cluster/join", testAdminToken, MemberChange{URL: joiner.ts.URL}); status != http.StatusOK {
 		t.Fatalf("mid-sweep join = %d: %s", status, body)

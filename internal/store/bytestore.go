@@ -102,13 +102,6 @@ type Options struct {
 	// BreakerCooldown is the base open -> half-open wait, jittered ±50%
 	// (0 = 1s).
 	BreakerCooldown time.Duration
-	// QuarantineTTL bounds how long quarantined corrupt entries are kept
-	// before OpenDisk sweeps them (0 = DefaultQuarantineTTL, < 0 = keep
-	// forever).
-	QuarantineTTL time.Duration
-	// Remote is the optional peer tier consulted by Do after both local
-	// tiers miss (nil = none; the single-node paths pay one nil check).
-	Remote Remote
 }
 
 // OpenByteStore opens a store with an in-memory LRU of memEntries entries
@@ -125,12 +118,11 @@ func OpenByteStoreWith(o Options) (*ByteStore, error) {
 		threshold = 5
 	}
 	s := &ByteStore{
-		mem:    NewLRU[[]byte](o.MemEntries),
-		br:     NewBreaker(threshold, o.BreakerCooldown),
-		remote: o.Remote,
+		mem: NewLRU[[]byte](o.MemEntries),
+		br:  NewBreaker(threshold, o.BreakerCooldown),
 	}
 	if o.Dir != "" {
-		d, err := OpenDiskTTL(o.Dir, o.QuarantineTTL)
+		d, err := OpenDisk(o.Dir)
 		if err != nil {
 			return nil, err
 		}

@@ -108,24 +108,12 @@ type Disk struct {
 // sweeping any orphaned temp files a previous crash left behind and any
 // quarantined entries older than DefaultQuarantineTTL.
 func OpenDisk(root string) (*Disk, error) {
-	return OpenDiskTTL(root, 0)
-}
-
-// OpenDiskTTL is OpenDisk with an explicit quarantine retention: files
-// under <root>/quarantine/ older than ttl are removed at open (0 selects
-// DefaultQuarantineTTL, < 0 keeps quarantined entries forever).
-func OpenDiskTTL(root string, ttl time.Duration) (*Disk, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening disk layer: %w", err)
 	}
 	d := &Disk{root: root}
 	d.sweepOrphans()
-	if ttl == 0 {
-		ttl = DefaultQuarantineTTL
-	}
-	if ttl > 0 {
-		d.sweepQuarantine(ttl)
-	}
+	d.sweepQuarantine()
 	return d, nil
 }
 
@@ -203,10 +191,11 @@ func (d *Disk) sweepOrphans() {
 
 // sweepQuarantine removes quarantined entries whose modification time —
 // set when quarantine moved them, i.e. when the corruption was detected —
-// is older than ttl. Mirrors the orphan-.tmp sweep: best effort, at open
-// only, so quarantine keeps recent evidence without growing forever.
-func (d *Disk) sweepQuarantine(ttl time.Duration) {
-	cutoff := time.Now().Add(-ttl)
+// is older than DefaultQuarantineTTL. Mirrors the orphan-.tmp sweep: best
+// effort, at open only, so quarantine keeps recent evidence without
+// growing forever.
+func (d *Disk) sweepQuarantine() {
+	cutoff := time.Now().Add(-DefaultQuarantineTTL)
 	entries, err := os.ReadDir(d.QuarantineDir())
 	if err != nil {
 		return // no quarantine directory yet, or unreadable: nothing to age out

@@ -32,10 +32,11 @@ const remoteKey = "ab12cd34ab12cd34"
 func TestRemoteTierHitPromotes(t *testing.T) {
 	dir := t.TempDir()
 	remote := &fakeRemote{data: map[string][]byte{remoteKey: []byte("peer bytes")}}
-	s, err := OpenByteStoreWith(Options{Dir: dir, Remote: remote})
+	s, err := OpenByteStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	computed := false
 	data, hit, err := s.Do(context.Background(), remoteKey, func() ([]byte, error) {
 		computed = true
@@ -75,10 +76,11 @@ func TestRemoteTierHitPromotes(t *testing.T) {
 // to the caller.
 func TestRemoteTierErrorFallsThrough(t *testing.T) {
 	remote := &fakeRemote{err: errors.New("peer down")}
-	s, err := OpenByteStoreWith(Options{Remote: remote})
+	s, err := OpenByteStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	data, hit, err := s.Do(context.Background(), remoteKey, func() ([]byte, error) {
 		return []byte("computed"), nil
 	})
@@ -102,10 +104,11 @@ func TestRemoteTierErrorFallsThrough(t *testing.T) {
 // A clean remote miss computes without counting an error.
 func TestRemoteTierMissComputes(t *testing.T) {
 	remote := &fakeRemote{data: map[string][]byte{}}
-	s, err := OpenByteStoreWith(Options{Remote: remote})
+	s, err := OpenByteStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	data, hit, err := s.Do(context.Background(), remoteKey, func() ([]byte, error) {
 		return []byte("computed"), nil
 	})
@@ -122,10 +125,11 @@ func TestRemoteTierMissComputes(t *testing.T) {
 // miss or a failing peer is a plain miss.
 func TestLookupLocalThenPeer(t *testing.T) {
 	remote := &fakeRemote{data: map[string][]byte{remoteKey: []byte("peer bytes")}}
-	s, err := OpenByteStoreWith(Options{Dir: t.TempDir(), Remote: remote})
+	s, err := OpenByteStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	if v, ok := s.Lookup(remoteKey); !ok || string(v) != "peer bytes" {
 		t.Fatalf("peer Lookup = %q, %v", v, ok)
 	}
@@ -191,18 +195,6 @@ func TestQuarantineAgeSweep(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatalf("fresh quarantine file swept: %v", err)
-	}
-
-	// ttl < 0 keeps everything.
-	d2, err := OpenDiskTTL(dir, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := d2.QuarantineSwept(); n != 0 {
-		t.Fatalf("negative-ttl open swept %d files", n)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("negative-ttl open removed quarantine evidence: %v", err)
 	}
 }
 

@@ -72,10 +72,11 @@ func TestReplicatorFiresOnlyOnCompute(t *testing.T) {
 func TestReplicatorSilentOnPeerHit(t *testing.T) {
 	repl := &fakeReplicator{}
 	remote := &fakeRemote{data: map[string][]byte{replKey: []byte("peer bytes")}}
-	s, err := OpenByteStoreWith(Options{Dir: t.TempDir(), Remote: remote})
+	s, err := OpenByteStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	s.SetReplicator(repl)
 
 	data, hit, err := s.Do(context.Background(), replKey, func() ([]byte, error) {
@@ -95,10 +96,11 @@ func TestReplicatorSilentOnPeerHit(t *testing.T) {
 func TestCorruptFrameRepairsFromReplicaWithoutCompute(t *testing.T) {
 	dir := t.TempDir()
 	remote := &fakeRemote{data: map[string][]byte{replKey: []byte("replica copy")}}
-	s, err := OpenByteStoreWith(Options{Dir: dir, MemEntries: 1, Remote: remote})
+	s, err := OpenByteStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetRemote(remote)
 	s.Put(replKey, []byte("replica copy"))
 	// Push the entry out of the memory tier and corrupt the disk frame.
 	s.Put("ff"+replKey[2:], []byte("evict"))

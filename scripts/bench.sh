@@ -1,73 +1,71 @@
 #!/usr/bin/env bash
-# Benchmark-regression gate for the dispatch hot path and the sweep
-# engine. Runs the tracked benchmark set (BenchmarkRun* and
-# BenchmarkFlushStorm in internal/core; BenchmarkSweep* and
-# BenchmarkMatrixExpand in internal/sweep, all with -benchmem) several
-# times, reduces to medians, and compares against the committed
-# BENCH_6.json baseline via cmd/benchgate. The two families are gated at
-# different tolerances: the dispatch family at 5% ns/op (the
-# BenchmarkRunSuperblock* rows joined the family when superblock
-# compilation landed; like the rest they must add zero steady-state
-# allocations, enforced by benchgate alongside internal/core's alloc
-# tests), and the sweep-engine family at 10% (it exercises the whole
-# service stack — worker scheduling and channel fan-in make it
-# inherently noisier). BENCH_3.json and BENCH_4.json remain as the
-# historical records, BENCH_5.json the superblock-compilation one.
+# Benchmark-regression gate: a paired A/B of the working tree against a
+# base commit, timed on this machine in this run, so no verdict rests on
+# a number recorded on another host or another day.
 #
 # Usage:
-#   scripts/bench.sh            gate against the committed baseline
-#   scripts/bench.sh -update    remeasure and rewrite the baseline's
-#                               "after" section (the "before" record of the
-#                               pre-optimization numbers is preserved)
+#   scripts/bench.sh [BASE]     BASE is any git revision (default HEAD)
 #
-# Repetitions are collected by an OUTER loop that alternates the two
-# benchmark packages, rather than `go test -count N` back-to-back runs:
-# each benchmark's N samples are then spread across the whole measurement
-# window. On hosts whose effective CPU speed drifts over minutes (shared
-# machines, frequency scaling), back-to-back repetitions all land in the
-# same "phase" and look deceptively tight while the median swings from
-# run to run; spaced repetitions straddle the phases, so the median
-# blends them and benchgate's spread estimate honestly reflects the
-# machine (which is what its noise-adaptive tolerance keys on).
+# BASE is extracted with git archive into a temporary directory (local,
+# no network). The internal/core, internal/machine and internal/sweep
+# test binaries are built for both sides, and the two sides run
+# alternately for ROUNDS rounds at BENCHTIME with -benchmem; the side
+# that goes first switches every round, so drift in the host's speed
+# lands on both sides alike. cmd/benchgate then pairs round i of each
+# benchmark across the sides and fails a benchmark whose median
+# change/base ns/op ratio exceeds 1+bound while the change was slower in
+# at least 9 of 10 rounds, whose median allocs/op grew, or that is
+# missing on the change side.
 #
-# Tunables (environment):
-#   BENCH_COUNT      repetitions fed to the median (default 5)
-#   BENCH_TIME       go test -benchtime per run (default 1s)
-#   BENCH_THRESHOLD  dispatch-family ns/op tolerance in percent (default 5)
-#   SWEEP_THRESHOLD  sweep-family ns/op tolerance in percent (default 10)
+# Families and bounds:
+#   dispatch  BenchmarkRun*, BenchmarkFlushStorm (internal/core) and
+#             BenchmarkNativeRun (internal/machine): 5%
+#   sweep     BenchmarkSweep*, BenchmarkMatrixExpand (internal/sweep): 10%;
+#             it exercises worker scheduling and channel fan-in, which
+#             are noisier
+# See docs/PERF.md, "The benchmark-regression gate".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-COUNT=${BENCH_COUNT:-5}
-TIME=${BENCH_TIME:-1s}
-CORE_PATTERN='^(BenchmarkRun|BenchmarkFlushStorm)'
-SWEEP_PATTERN='^(BenchmarkSweep|BenchmarkMatrixExpand)'
+BASE=${1:-HEAD}
+ROUNDS=10
+BENCHTIME=0.5s
+DISPATCH='^(BenchmarkRun|BenchmarkFlushStorm|BenchmarkNativeRun)' DISPATCH_BOUND=0.05
+SWEEP='^(BenchmarkSweep|BenchmarkMatrixExpand)' SWEEP_BOUND=0.10
 
-# Precompile both test binaries so loop iterations measure, not build.
-go test -run '^$' -bench XXX ./internal/core ./internal/sweep >/dev/null
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git archive "$BASE" | tar -x -C "$work/base"
 
-core_out="" sweep_out=""
-for _ in $(seq "$COUNT"); do
-    c=$(go test -run '^$' -bench "$CORE_PATTERN" -benchmem -count 1 -benchtime "$TIME" ./internal/core)
-    printf '%s\n' "$c"
-    core_out+="$c"$'\n'
-    s=$(go test -run '^$' -bench "$SWEEP_PATTERN" -benchmem -count 1 -benchtime "$TIME" ./internal/sweep)
-    printf '%s\n' "$s"
-    sweep_out+="$s"$'\n'
+for pkg in core machine sweep; do
+    (cd "$work/base" && go test -c -o "$work/base-$pkg.test" "./internal/$pkg")
+    go test -c -o "$work/change-$pkg.test" "./internal/$pkg"
+done
+go build -o "$work/benchgate" ./cmd/benchgate
+
+# bench SIDE PKG PATTERN FAMILY appends one round of PKG's benchmarks on
+# SIDE to the family's output, run from the package directory of that
+# side's tree as go test would.
+bench() {
+    local side=$1 pkg=$2 pattern=$3 family=$4 tree=.
+    if [ "$side" = base ]; then tree=$work/base; fi
+    (cd "$tree/internal/$pkg" &&
+        "$work/$side-$pkg.test" -test.run '^$' -test.bench "$pattern" \
+            -test.benchtime "$BENCHTIME" -test.benchmem -test.timeout 10m) >>"$work/$family.$side"
+}
+
+for round in $(seq "$ROUNDS"); do
+    if ((round % 2)); then order="base change"; else order="change base"; fi
+    echo "bench: round $round/$ROUNDS ($order first)"
+    for side in $order; do bench "$side" core "$DISPATCH" dispatch; done
+    for side in $order; do bench "$side" machine "$DISPATCH" dispatch; done
+    for side in $order; do bench "$side" sweep "$SWEEP" sweep; done
 done
 
-if [[ "${1:-}" == "-update" ]]; then
-    printf '%s\n%s\n' "$core_out" "$sweep_out" |
-        go run ./cmd/benchgate -baseline BENCH_6.json "$@" >/dev/null
-    echo "benchgate: baseline BENCH_6.json updated"
-    exit 0
-fi
-
-printf '%s\n' "$core_out" |
-    go run ./cmd/benchgate -baseline BENCH_6.json \
-        -only "$CORE_PATTERN" -threshold "${BENCH_THRESHOLD:-5}" "$@" >/dev/null
-echo "benchgate: dispatch family within ${BENCH_THRESHOLD:-5}% of BENCH_6.json"
-printf '%s\n' "$sweep_out" |
-    go run ./cmd/benchgate -baseline BENCH_6.json \
-        -only "$SWEEP_PATTERN" -threshold "${SWEEP_THRESHOLD:-10}" "$@" >/dev/null
-echo "benchgate: sweep family within ${SWEEP_THRESHOLD:-10}% of BENCH_6.json"
+status=0
+echo "bench: dispatch family against $BASE (bound $DISPATCH_BOUND)"
+"$work/benchgate" -bound $DISPATCH_BOUND "$work/dispatch.base" "$work/dispatch.change" || status=1
+echo "bench: sweep family against $BASE (bound $SWEEP_BOUND)"
+"$work/benchgate" -bound $SWEEP_BOUND "$work/sweep.base" "$work/sweep.change" || status=1
+exit $status

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate: gofmt, vet, build, race-enabled tests, a short fuzz smoke of
-# every fuzz target, and a single-iteration bench smoke. Strictly a
-# superset of the tier-1 check (go build ./... && go test ./...).
+# every fuzz target, a single-iteration bench smoke and the paired bench
+# gate against HEAD. Strictly a superset of the tier-1 check
+# (go build ./... && go test ./...).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,11 +92,12 @@ go run ./cmd/sdtchaos -seed 42 -bin "$sdtd_dir/sdtd"
 
 # Each fuzz target gets a short randomized smoke on top of its seed
 # corpus. Go only allows one -fuzz pattern per package invocation, so
-# list them explicitly.
+# list them explicitly. The fuzzer stops executing while it minimizes a
+# new input (60 s by default), so minimization is bounded to 100 runs.
 fuzz() {
     local pkg=$1 target=$2
     echo "==> fuzz $target ($pkg, $FUZZTIME)"
-    go test "$pkg" -run='^$' -fuzz="^$target\$" -fuzztime="$FUZZTIME"
+    go test "$pkg" -run='^$' -fuzz="^$target\$" -fuzztime="$FUZZTIME" -fuzzminimizetime=100x
 }
 fuzz ./internal/asm     FuzzAssemble
 fuzz ./internal/minic   FuzzCompile
@@ -115,11 +117,12 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 echo "==> eval_reference drift"
 go run ./cmd/sdtbench | cmp - eval_reference.txt
 
-# Regression gate: the dispatch-path and sweep-engine benchmarks must
-# stay within BENCH_THRESHOLD percent (default 5) of the committed
-# BENCH_6.json baseline, with zero steady-state allocation growth.
-# Regenerate the baseline with `make bench` after intentional
-# performance changes. See docs/PERF.md.
+# Regression gate: a paired A/B of the working tree against HEAD, the
+# two sides' test binaries run alternately on this machine. A dispatch
+# benchmark fails when its median change/base ns/op ratio exceeds 1.05
+# (sweep: 1.10) and the change was slower in at least 9 of 10 rounds,
+# and any benchmark fails when its median allocs/op grew. See
+# docs/PERF.md, "The benchmark-regression gate".
 echo "==> bench gate"
 scripts/bench.sh
 
